@@ -35,6 +35,7 @@ from .distributions import (
     EnumerationLimitError,
     RawAbsPower,
     SignPattern,
+    convolution_power,
     counterexample_distribution,
     counterexample_gap_closed_form,
     counterexample_search,

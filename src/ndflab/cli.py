@@ -16,17 +16,13 @@ any run can be reproduced byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import os
 import sys
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import bbm as bbm_mod
 from . import distributions as dist_mod
@@ -186,33 +182,24 @@ def _hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
 
 
+@functools.cache
+def _validator(command: str):
+    """The command's schema validator, built and its schema checked once per process."""
+    schema = {**SCHEMAS[command], "$defs": _DEFS}
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _validate(command: str, config: dict):
-    schema = dict(SCHEMAS[command])
-    schema["$defs"] = _DEFS
-    if jsonschema is None:
-        return
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(config))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field {path}: {error.message}")
     if "command" in config and config["command"] != command:
         raise ConfigError(
             f"config declares command {config['command']!r} but {command!r} was invoked"
         )
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("NDF_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"NDF_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("NDF_LAB_THREADS must be >= 1")
-    return cap
 
 
 def _single_row_csv(columns: list[str], values: list) -> str:
@@ -225,26 +212,32 @@ def _single_row_csv(columns: list[str], values: list) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _exact_check(psi, law, tolerance: float, names=("e_minus", "e_plus")):
+    """(results, passed) for E psi(X-Y) <= E psi(X+Y) on a finite k-atom law.
+
+    Passes when gap >= -(tolerance + rounding_tolerance), where
+    rounding_tolerance = eps * k * (|E psi(X+Y)| + |E psi(X-Y)|) scales
+    with the two k-atom pair sums whose rounding it absorbs.
+    """
+    e_minus = dist_mod.exact_expectation(psi, law, "difference")
+    e_plus = dist_mod.exact_expectation(psi, law, "sum")
+    gap = e_plus - e_minus
+    rounding = float(np.finfo(float).eps) * law.n_atoms * (abs(e_plus) + abs(e_minus))
+    results = {"method": "exact", names[0]: e_minus, names[1]: e_plus, "gap": gap,
+               "tolerance": tolerance, "rounding_tolerance": rounding}
+    return results, gap >= -(tolerance + rounding)
+
+
 def _run_verify_inequality(config):
     psi = ndf_from_obj(config["psi"])
     psi_id = _hash(ndf_to_obj(psi))
     if "distribution" in config:
         dist = dist_mod.distribution_from_obj(config["distribution"])
-        tol = config.get("tolerance", 1e-10)
-        e_minus = dist_mod.exact_expectation(psi, dist, "difference")
-        e_plus = dist_mod.exact_expectation(psi, dist, "sum")
-        gap = e_plus - e_minus
-        passed = gap >= -tol
-        results = {
-            "method": "exact",
-            "e_minus": e_minus,
-            "e_plus": e_plus,
-            "gap": gap,
-            "tolerance": tol,
-        }
+        results, passed = _exact_check(psi, dist, config.get("tolerance", 1e-10))
         csv_text = _single_row_csv(
             ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"],
-            [psi_id, _hash(config["distribution"]), e_minus, e_plus, gap, "exact", 0, 0.0, ""],
+            [psi_id, _hash(config["distribution"]), results["e_minus"], results["e_plus"],
+             results["gap"], "exact", 0, 0.0, ""],
         )
         return results, passed, csv_text
     sampler = mc_mod.sampler_from_obj(config["sampler"])
@@ -367,22 +360,22 @@ def _run_simulate_bbm(config):
 def _run_signed_sum(config):
     psi = ndf_from_obj(config["psi"])
     pattern = dist_mod.SignPattern(tuple(config["pattern"]))
-    tol = config.get("tolerance", 1e-10)
     if "distribution" in config:
         dist = dist_mod.distribution_from_obj(config["distribution"])
+        # sum_j eps_j X_j = S - S' and sum_j X_j = S + S' for S, S' ~ dist^{*m}
         try:
-            gap = dist_mod.exact_signed_sum_gap(psi, dist, pattern)
+            law = dist_mod.convolution_power(dist, len(pattern) // 2)
         except dist_mod.EnumerationLimitError:
             if "n_samples" not in config or "seed" not in config:
                 raise ConfigError(
-                    "enumeration too large; supply n_samples and seed for Monte Carlo"
+                    "exact sum too large; supply n_samples and seed for Monte Carlo"
                 )
             return _signed_sum_mc(psi, mc_mod.DiscreteSampler(dist), pattern, config)
-        passed = gap >= -tol
-        results = {"method": "exact", "gap": gap, "tolerance": tol}
+        tol = config.get("tolerance", 1e-10)
+        results, passed = _exact_check(psi, law, tol, ("e_signed", "e_allplus"))
         csv_text = _single_row_csv(
             ["method", "e_signed", "e_allplus", "gap", "n_samples", "seed"],
-            ["exact", "", "", gap, 0, ""],
+            ["exact", results["e_signed"], results["e_allplus"], results["gap"], 0, ""],
         )
         return results, passed, csv_text
     sampler = mc_mod.sampler_from_obj(config["sampler"])
@@ -427,7 +420,6 @@ _HANDLERS = {
 def run(command: str, config: dict) -> dict:
     """Validate and execute one experiment config; returns the report dict."""
     _validate(command, config)
-    threads = _thread_cap()
     results, passed, csv_text = _HANDLERS[command](config)
     return {
         "command": command,
@@ -435,7 +427,6 @@ def run(command: str, config: dict) -> dict:
         "inputs": config,
         "results": results,
         "passed": bool(passed),
-        "threads": threads,
         "csv": csv_text,
     }
 
@@ -462,9 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.schema:
-        schema = dict(SCHEMAS[args.command])
-        schema["$defs"] = _DEFS
-        print(json.dumps(schema, indent=2, sort_keys=True))
+        print(json.dumps(_validator(args.command).schema, indent=2, sort_keys=True))
         return 0
     if not args.config:
         print("error: --config is required", file=sys.stderr)

@@ -1,11 +1,12 @@
 """Finite discrete laws with exact expectations of psi(X +/- Y).
 
-Every expectation here is a finite sum over atom pairs (or tuples), so
-the moment inequality E psi(X-Y) <= E psi(X+Y) can be checked in exact
-floating-point arithmetic, with no sampling error.  The module also
-hosts the two-point family that breaks the inequality for |x|^alpha
-with alpha > 2, the tail-integral identity for E|X+Y| - E|X-Y|, and
-the essential-bound (alpha = infinity) comparison.
+Every expectation here is a finite sum over atom pairs, so the moment
+inequality E psi(X-Y) <= E psi(X+Y) can be checked in exact
+floating-point arithmetic, with no sampling error; a signed sum of
+i.i.d. copies reduces to such a pair sum on a convolution power of the
+law.  The module also hosts the two-point family that breaks the
+inequality for |x|^alpha with alpha > 2, the tail-integral identity for
+E|X+Y| - E|X-Y|, and the essential-bound (alpha = infinity) comparison.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "exact_expectation",
     "exact_gap",
     "exact_signed_sum_gap",
+    "convolution_power",
     "counterexample_distribution",
     "counterexample_gap_closed_form",
     "counterexample_search",
@@ -41,15 +43,18 @@ _MERGE_TOL = 1e-12
 
 
 class EnumerationLimitError(ValueError):
-    """Exact enumeration would exceed the term budget; use the Monte Carlo engine."""
+    """An exact sum would exceed the pair-term budget; use the Monte Carlo engine."""
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finite atomic probability law on R^n.
 
-    Coincident atoms (coordinates within 1e-12) are merged at
-    construction by summing their weights.
+    Coincident atoms are merged at construction: on the lexsorted atoms, a
+    run of neighbours each within 1e-12 of the last in every coordinate
+    becomes one atom carrying the summed weight, placed where the run's
+    first atom in input order lies.  Atoms keep their order of first
+    appearance, so a law without coincident atoms is stored as given.
     """
 
     atoms: np.ndarray  # (k, n)
@@ -66,6 +71,8 @@ class DiscreteDistribution:
             raise ValueError("a law needs at least one atom")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("atom coordinates must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -86,17 +93,14 @@ class DiscreteDistribution:
 
 
 def _merge_atoms(atoms, weights):
-    kept_atoms: list[np.ndarray] = []
-    kept_weights: list[float] = []
-    for x, w in zip(atoms, weights):
-        for i, y in enumerate(kept_atoms):
-            if np.max(np.abs(x - y)) <= _MERGE_TOL:
-                kept_weights[i] += w
-                break
-        else:
-            kept_atoms.append(x)
-            kept_weights.append(float(w))
-    return np.array(kept_atoms), np.array(kept_weights)
+    """Sort-based merge of coincident atoms; see :class:`DiscreteDistribution`."""
+    order = np.lexsort(atoms.T[::-1])
+    gaps = np.abs(np.diff(atoms[order], axis=0))
+    starts = np.flatnonzero(np.r_[True, np.any(gaps > _MERGE_TOL, axis=1)])
+    run_weights = np.add.reduceat(weights[order], starts)
+    first = np.minimum.reduceat(order, starts)
+    keep = np.argsort(first)
+    return atoms[first[keep]], run_weights[keep]
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,13 @@ def _check_dims(psi, dist: DiscreteDistribution):
         raise DimensionMismatch(f"psi has dimension {psi.dim}, law has {dist.dim}")
 
 
+def _pair_values(psi, x, sign: float) -> np.ndarray:
+    """(k, k) array of psi(x_i + sign * x_j) over all pairs of rows of x."""
+    k, n = x.shape
+    pairs = (x[:, None, :] + sign * x[None, :, :]).reshape(-1, n)
+    return psi.eval_many(pairs).reshape(k, k)
+
+
 def exact_expectation(psi, dist: DiscreteDistribution, mode: str) -> float:
     """E psi(X +/- Y) = sum_{i,j} p_i p_j psi(x_i +/- x_j), exactly.
 
@@ -183,12 +194,8 @@ def exact_expectation(psi, dist: DiscreteDistribution, mode: str) -> float:
     _check_dims(psi, dist)
     if mode not in ("sum", "difference"):
         raise ValueError(f"mode must be 'sum' or 'difference', got {mode!r}")
-    x = dist.atoms
-    sign = 1.0 if mode == "sum" else -1.0
-    pairs = (x[:, None, :] + sign * x[None, :, :]).reshape(-1, dist.dim)
-    vals = psi.eval_many(pairs).reshape(dist.n_atoms, dist.n_atoms)
     w = dist.weights
-    return float(w @ vals @ w)
+    return float(w @ _pair_values(psi, dist.atoms, 1.0 if mode == "sum" else -1.0) @ w)
 
 
 def exact_gap(psi, dist: DiscreteDistribution) -> float:
@@ -196,37 +203,40 @@ def exact_gap(psi, dist: DiscreteDistribution) -> float:
     return exact_expectation(psi, dist, "sum") - exact_expectation(psi, dist, "difference")
 
 
-def exact_signed_sum_gap(psi, dist: DiscreteDistribution, pattern: SignPattern,
-                         chunk: int = 1 << 16) -> float:
-    """E psi(sum_j X_j) - E psi(sum_j eps_j X_j) by full enumeration.
+def _within_budget(law: DiscreteDistribution) -> DiscreteDistribution:
+    if law.n_atoms**2 > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"{law.n_atoms}^2 pair terms exceed the {ENUMERATION_LIMIT} "
+                                    "budget; use mc_signed_sum instead")
+    return law
 
-    Enumerates all (n_atoms)**(2m) outcomes of (X_1, ..., X_2m); raises
-    :class:`EnumerationLimitError` beyond 10^7 outcomes.
+
+def convolution_power(dist: DiscreteDistribution, m: int) -> DiscreteDistribution:
+    """The law of X_1 + ... + X_m for i.i.d. X_j ~ dist, coincident sums merged.
+
+    Built in m - 1 outer-sum steps, merging after each; raises
+    :class:`EnumerationLimitError` once the support's pair count
+    ``n_atoms**2`` exceeds ``ENUMERATION_LIMIT``.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    law = _within_budget(dist)
+    for _ in range(m - 1):
+        atoms = (law.atoms[:, None, :] + dist.atoms[None, :, :]).reshape(-1, dist.dim)
+        weights = np.outer(law.weights, dist.weights).ravel()
+        # renormalised so that rounding in the products cannot fail the sum-to-1 check
+        law = _within_budget(DiscreteDistribution(atoms, weights / weights.sum()))
+    return law
+
+
+def exact_signed_sum_gap(psi, dist: DiscreteDistribution, pattern: SignPattern) -> float:
+    """E psi(sum_j X_j) - E psi(sum_j eps_j X_j) for i.i.d. X_j ~ dist.
+
+    With m plus and m minus signs, sum_j eps_j X_j = S - S' and
+    sum_j X_j = S + S' for i.i.d. S, S' ~ dist^{*m}, so this is
+    :func:`exact_gap` on :func:`convolution_power`.
     """
     _check_dims(psi, dist)
-    k = dist.n_atoms
-    n_vars = len(pattern)
-    total = k**n_vars
-    if total > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"{k}^{n_vars} = {total} outcomes exceeds the {ENUMERATION_LIMIT} "
-            "budget; use mc_signed_sum instead"
-        )
-    signs = np.array(pattern.signs, dtype=float)
-    x = dist.atoms
-    logw = np.log(dist.weights)
-    e_plus = 0.0
-    e_signed = 0.0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        multi = np.stack(np.unravel_index(idx, (k,) * n_vars))  # (2m, B)
-        draws = x[multi]  # (2m, B, n)
-        probs = np.exp(logw[multi].sum(axis=0))  # (B,)
-        s_plus = draws.sum(axis=0)
-        s_signed = np.einsum("j,jbn->bn", signs, draws)
-        e_plus += float(probs @ psi.eval_many(s_plus))
-        e_signed += float(probs @ psi.eval_many(s_signed))
-    return e_plus - e_signed
+    return exact_gap(psi, convolution_power(dist, len(pattern) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +312,7 @@ def tail_identity_check(dist: DiscreteDistribution) -> tuple[float, float]:
     """
     if dist.dim != 1:
         raise DimensionMismatch("tail identity is one-dimensional")
-    probe = RawAbsPower(1.0)
-    lhs = exact_expectation(probe, dist, "sum") - exact_expectation(probe, dist, "difference")
+    lhs = exact_gap(RawAbsPower(1.0), dist)
 
     x = dist.atoms[:, 0]
     w = dist.weights

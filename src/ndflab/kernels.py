@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, psd_tolerance
-from .distributions import DiscreteDistribution, exact_gap
+from .distributions import DiscreteDistribution, _pair_values, exact_gap
 
 __all__ = [
     "GramResult",
@@ -45,10 +45,7 @@ def gram_matrix(psi, points) -> np.ndarray:
         raise ValueError("need a nonempty (k, n) point set")
     if pts.shape[1] != psi.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, psi has {psi.dim}")
-    k, n = pts.shape
-    sums = (pts[:, None, :] + pts[None, :, :]).reshape(-1, n)
-    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, n)
-    mat = (psi.eval_many(sums) - psi.eval_many(diffs)).reshape(k, k)
+    mat = _pair_values(psi, pts, 1.0) - _pair_values(psi, pts, -1.0)
     return 0.5 * (mat + mat.T)  # remove round-off asymmetry
 
 

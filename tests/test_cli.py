@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from ndflab.cli import ConfigError, main, run
+from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution
+from ndflab.cli import ConfigError, _exact_check, main, run
 
 PSI_ABS = {"type": "euclidean_power", "alpha": 1, "dim": 1}
 BERNOULLI = {"atoms": [[0], [1]], "weights": [0.5, 0.5]}
@@ -72,6 +74,43 @@ class TestRun:
         )
         assert report["passed"]
         assert report["results"]["gap"] == pytest.approx(1.25)
+        assert report["results"]["e_signed"] == pytest.approx(0.75)
+        assert report["results"]["e_allplus"] == pytest.approx(2.0)
+        assert report["csv"].splitlines()[1] == "exact,0.75,2,1.25,0,"
+
+    def test_signed_sum_over_budget_falls_back_to_monte_carlo(self):
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.05, 1.0, size=40)
+        config = {
+            "psi": PSI_ABS,
+            "pattern": [1, 1, 1, 1, -1, -1, -1, -1],
+            "distribution": {"atoms": rng.normal(size=(40, 1)).tolist(), "weights": (w / w.sum()).tolist()},
+        }
+        with pytest.raises(ConfigError):
+            run("signed-sum", config)
+        report = run("signed-sum", {**config, "n_samples": 1000, "seed": 4})
+        assert report["results"]["method"] == "monte_carlo"
+
+    def test_exact_tolerance_scales_with_the_sums(self):
+        # centred laws make E|X+Y|^2 = E|X-Y|^2, a true gap of 0; at scales up
+        # to 1e7 the computed gap rounds far below the fixed 1e-10
+        rng = np.random.default_rng(4)
+        psi = {"type": "euclidean_power", "alpha": 2, "dim": 1}
+        for _ in range(2000):
+            atoms = rng.normal(scale=10.0 ** rng.uniform(2.0, 7.0), size=3)
+            w = rng.uniform(0.05, 1.0, size=3)
+            w /= w.sum()
+            law = {"atoms": (atoms - w @ atoms)[:, None].tolist(), "weights": w.tolist()}
+            report = run("verify-inequality", {"psi": psi, "distribution": law})
+            assert report["passed"], report["results"]
+        assert report["results"]["tolerance"] == 1e-10
+        assert report["results"]["rounding_tolerance"] > 0.0
+
+    def test_exact_tolerance_still_flags_the_counterexample(self):
+        law = counterexample_distribution(CounterexampleParams(3.0, 1.0, 10.0))
+        results, passed = _exact_check(RawAbsPower(3.0), law, 1e-10)
+        assert not passed
+        assert results["gap"] == pytest.approx(-21.88)
 
     def test_schema_rejects_bad_config(self):
         with pytest.raises(ConfigError):
@@ -106,6 +145,11 @@ class TestMain:
 
     def test_exit_2_missing_config(self):
         assert main(["tail-identity"]) == 2
+
+    def test_exit_2_non_finite_weights(self, tmp_path):
+        law = {"atoms": [[0], [1]], "weights": [float("nan"), 0.5]}
+        cfg = write(tmp_path, "c.json", {"psi": PSI_ABS, "distribution": law})
+        assert main(["verify-inequality", "--config", cfg]) == 2
 
     def test_exit_2_schema_violation(self, tmp_path):
         cfg = write(tmp_path, "c.json", {"alpha": 3})

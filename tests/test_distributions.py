@@ -1,5 +1,10 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ndflab import (
     CounterexampleParams,
@@ -10,6 +15,7 @@ from ndflab import (
     RawAbsPower,
     SignPattern,
     Subordinated,
+    convolution_power,
     counterexample_distribution,
     counterexample_gap_closed_form,
     counterexample_search,
@@ -86,13 +92,23 @@ class TestSignedSum:
         assert abs(exact_signed_sum_gap(ABS1, p, SignPattern((1, 1, -1, -1)))) <= 1e-10
 
     def test_enumeration_guard(self):
+        # 40 generic atoms: the 4-fold sum has C(43, 4) = 123410 atoms, whose
+        # squared support blows the 10^7 pair-term budget
         rng = np.random.default_rng(0)
-        p = random_distribution(rng, 1, max_atoms=12)
-        # force k >= 12 to blow the 10^7 budget at 2m = 8
-        while p.n_atoms < 12:
-            p = random_distribution(rng, 1, max_atoms=12)
+        w = rng.uniform(0.05, 1.0, size=40)
+        p = DiscreteDistribution(rng.normal(size=(40, 1)), w / w.sum())
+        assert convolution_power(p, 2).n_atoms == 40 * 41 // 2
         with pytest.raises(EnumerationLimitError):
             exact_signed_sum_gap(ABS1, p, SignPattern((1,) * 4 + (-1,) * 4))
+
+    def test_cusp_case_matches_exact_rationals(self):
+        # |x|^0.1 magnifies any leftover ulp of x1 + x2 - x1 - x2 at the cusp;
+        # the pinned value comes from signed sums formed in exact rationals
+        p = DiscreteDistribution(np.array([[0.1], [0.2], [0.7]]), np.array([0.25, 0.25, 0.5]))
+        psi, pattern = EuclideanPower(0.1, 1), SignPattern((1, 1, -1, -1))
+        e_plus, e_signed = fraction_signed_sum_expectations(psi, p, pattern)
+        for gap in (exact_signed_sum_gap(psi, p, pattern), e_plus - e_signed):
+            assert gap == pytest.approx(0.32099480338887626, rel=1e-15, abs=0.0)
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
@@ -252,6 +268,9 @@ class TestDistributionType:
             DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([1.2, -0.2]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([bad, 0.5]))
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(24)
@@ -278,3 +297,93 @@ class TestTheoremBatteries:
                 psi = Subordinated(Power(alpha / 2.0), random_ndf_spec(rng, dim, depth=2))
                 p = random_distribution(rng, dim)
                 assert exact_gap(psi, p) >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# properties of the merge and of signed sums by convolution
+# ---------------------------------------------------------------------------
+
+# coordinates with exact duplicates and near-duplicates within the 1e-12
+# merge tolerance: 0, 1e-13 and 1.05e-12 form a chain whose ends are
+# farther apart than the tolerance
+_COORDS = st.sampled_from([-1.5, 0.0, 1e-13, 1.05e-12, 2.0, 2.0 + 4e-13, 7.25])
+
+
+def _normalised(raw):
+    w = np.asarray(raw, dtype=float)
+    return w / w.sum()
+
+
+def _canonical(law):
+    """Atoms rounded past the merge tolerance and weights, in a fixed order.
+
+    A merged atom sits at its run's first occurrence, which moves with the
+    input order by less than the run's 1e-12-scale spread; rounding to 9
+    digits removes that, and sorting removes the order of first appearance.
+    """
+    atoms, weights = np.round(law.atoms, 9), law.weights
+    order = np.lexsort((np.round(weights, 12), *atoms.T[::-1]))
+    return atoms[order], weights[order]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_merge_is_permutation_invariant(data):
+    dim = data.draw(st.integers(1, 2))
+    atoms = data.draw(st.lists(st.lists(_COORDS, min_size=dim, max_size=dim), min_size=1, max_size=10))
+    w = _normalised(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms))))
+    perm = np.array(data.draw(st.permutations(range(len(atoms)))))
+    p = DiscreteDistribution(np.array(atoms), w)
+    q = DiscreteDistribution(np.array(atoms)[perm], w[perm])
+    (p_atoms, p_weights), (q_atoms, q_weights) = _canonical(p), _canonical(q)
+    np.testing.assert_array_equal(p_atoms, q_atoms)
+    np.testing.assert_allclose(p_weights, q_weights, rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dim=st.integers(1, 2), data=st.data())
+def test_merge_keeps_law_without_coincident_atoms(dim, data):
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+    atoms = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=12)))
+    assume(all(np.max(np.abs(a - b)) > 1e-12 for a, b in itertools.combinations(atoms, 2)))
+    w = _normalised(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms))))
+    p = DiscreteDistribution(atoms, w)
+    np.testing.assert_array_equal(p.atoms, atoms)
+    np.testing.assert_array_equal(p.weights, w)
+
+
+def fraction_signed_sum_expectations(psi, dist, pattern):
+    """Brute-force reference: (E psi(sum X_j), E psi(sum eps_j X_j)) over all
+    k^(2m) outcomes, each signed sum formed exactly in rationals and rounded once."""
+    atoms = [[Fraction(c) for c in x] for x in dist.atoms.tolist()]
+    probs, plus, signed = [], [], []
+    for idx in itertools.product(range(dist.n_atoms), repeat=len(pattern)):
+        probs.append(math.prod(dist.weights[i] for i in idx))
+        plus.append([float(sum(atoms[i][d] for i in idx)) for d in range(dist.dim)])
+        signed.append([float(sum(s * atoms[i][d] for s, i in zip(pattern.signs, idx)))
+                       for d in range(dist.dim)])
+    probs = np.array(probs)
+    return float(probs @ psi.eval_many(np.array(plus))), float(probs @ psi.eval_many(np.array(signed)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    alpha=st.floats(1.0, 2.0),
+    half=st.integers(1, 2),
+    data=st.data(),
+)
+def test_convolution_matches_exact_enumeration(dim, alpha, half, data):
+    # alpha >= 1 keeps psi Lipschitz-like at 0, so the one extra rounding of
+    # the convolution (and merging sums that differ by less than 1e-12)
+    # stays within the bound below
+    coord = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)
+    atoms = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    w = _normalised(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms))))
+    signs = data.draw(st.permutations([1] * half + [-1] * half))
+    p = DiscreteDistribution(np.array(atoms), w)
+    psi = EuclideanPower(alpha, dim)
+    pattern = SignPattern(tuple(signs))
+    e_plus, e_signed = fraction_signed_sum_expectations(psi, p, pattern)
+    gap = exact_signed_sum_gap(psi, p, pattern)
+    assert abs(gap - (e_plus - e_signed)) <= 1e-12 * (e_plus + e_signed)
