@@ -12,7 +12,6 @@ i.e. exactly the kernel of ``|.|^alpha`` from the kernel lab.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +149,5 @@ def kernel_bbm_identity_gap(alpha: float, xi: float, eta: float) -> float:
 
 def paths_to_csv(paths: GridPath) -> str:
     """CSV with the grid times as the first row, one path per subsequent row."""
-    buf = io.StringIO()
-    buf.write(",".join(format(t, ".17g") for t in paths.grid) + "\n")
-    for row in paths.values:
-        buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-    return buf.getvalue()
+    line = ",".join(["%.17g"] * paths.grid.size) + "\n"  # the digits of format(v, ".17g")
+    return "".join(line % tuple(row.tolist()) for row in (paths.grid, *paths.values))

@@ -9,8 +9,8 @@ Commands: verify-inequality, check-kernel, variance-identity,
 counterexample, tail-identity, simulate-bbm, signed-sum.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
-2 = usage or config error.  Reports embed a seed and a config hash so
-any run can be reproduced byte-for-byte.
+2 = usage, config or input-range error, 3 = internal error.  Reports
+embed a seed and a config hash so any run can be reproduced byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import sys
+import traceback
 
 import jsonschema
 import numpy as np
@@ -29,16 +30,6 @@ from . import distributions as dist_mod
 from . import kernels as kernel_mod
 from . import mc as mc_mod
 from .core import canonical_dumps, ndf_from_obj, ndf_to_obj
-
-COMMANDS = (
-    "verify-inequality",
-    "check-kernel",
-    "variance-identity",
-    "counterexample",
-    "tail-identity",
-    "simulate-bbm",
-    "signed-sum",
-)
 
 _SEED_SCHEMA = {
     "oneOf": [
@@ -169,6 +160,8 @@ SCHEMAS = {
     },
 }
 
+COMMANDS = tuple(SCHEMAS)
+
 
 class ConfigError(ValueError):
     """Config failed validation; maps to exit code 2."""
@@ -176,6 +169,14 @@ class ConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _finite_number(text: str) -> float:
+    """JSON float hook: NaN, Infinity and overflowing literals are config errors."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text} in config")
+    return value
 
 
 def _hash(obj) -> str:
@@ -255,7 +256,7 @@ def _run_verify_inequality(config):
         "gap": gap,
         "stderr_minus": verdict.est_minus.stderr,
         "stderr_plus": verdict.est_plus.stderr,
-        "z_score": verdict.z_score,
+        "z_score": verdict.z_score if np.isfinite(verdict.z_score) else None,
         "verdict": verdict.kind,
         "n_samples": n,
         "seed": seed,
@@ -452,6 +453,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except Exception as exc:  # a crash must never read as a failed check
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _main(args) -> int:
     if args.schema:
         print(json.dumps(_validator(args.command).schema, indent=2, sort_keys=True))
         return 0
@@ -460,21 +470,22 @@ def main(argv=None) -> int:
         return 2
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.samples is not None:
-        config["n_samples"] = args.samples
     try:
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.samples is not None:
+            config["n_samples"] = args.samples
         report = run(args.command, config)
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
+        printable = {k: v for k, v in report.items() if k != "csv"}
+        text = json.dumps(printable, indent=2, sort_keys=True, default=str, allow_nan=False)
+    except (ConfigError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    printable = {k: v for k, v in report.items() if k != "csv"}
-    print(json.dumps(printable, indent=2, sort_keys=True, default=str))
+    print(text)
     if args.out:
         try:
             emit_csv(report, args.out)

@@ -51,10 +51,10 @@ class DiscreteDistribution:
     """Finite atomic probability law on R^n.
 
     Coincident atoms are merged at construction: on the lexsorted atoms, a
-    run of neighbours each within 1e-12 of the last in every coordinate
-    becomes one atom carrying the summed weight, placed where the run's
-    first atom in input order lies.  Atoms keep their order of first
-    appearance, so a law without coincident atoms is stored as given.
+    run of neighbours each within 1e-12 * max|coordinate| of the last in
+    every coordinate becomes one atom with the summed weight, placed where
+    the run's first atom in input order lies.  Atoms keep their order of
+    first appearance, so a law without coincident atoms is stored as given.
     """
 
     atoms: np.ndarray  # (k, n)
@@ -96,7 +96,8 @@ def _merge_atoms(atoms, weights):
     """Sort-based merge of coincident atoms; see :class:`DiscreteDistribution`."""
     order = np.lexsort(atoms.T[::-1])
     gaps = np.abs(np.diff(atoms[order], axis=0))
-    starts = np.flatnonzero(np.r_[True, np.any(gaps > _MERGE_TOL, axis=1)])
+    tol = _MERGE_TOL * np.max(np.abs(atoms))  # relative, so the merge is scale invariant
+    starts = np.flatnonzero(np.r_[True, np.any(gaps > tol, axis=1)])
     run_weights = np.add.reduceat(weights[order], starts)
     first = np.minimum.reduceat(order, starts)
     keep = np.argsort(first)

@@ -8,7 +8,6 @@ form with a law's weights to the exact moment gap E psi(X+Y) - E psi(X-Y).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +96,6 @@ def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float]:
 def gram_to_csv(matrix) -> str:
     """Row-major CSV with a header row of point indices."""
     mat = np.asarray(matrix, dtype=float)
-    buf = io.StringIO()
-    buf.write(",".join(str(i) for i in range(mat.shape[1])) + "\n")
-    for row in mat:
-        buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-    return buf.getvalue()
+    line = ",".join(["%.17g"] * mat.shape[1]) + "\n"  # the digits of format(v, ".17g")
+    header = ",".join(str(i) for i in range(mat.shape[1])) + "\n"
+    return header + "".join(line % tuple(row.tolist()) for row in mat)

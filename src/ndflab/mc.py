@@ -4,8 +4,10 @@ Sampling is driven by numpy's counter-based Philox generator, so every
 estimate is a pure function of (spec, seed, count).  Both sides of the
 inequality are evaluated on the same draws (common random numbers),
 which makes the gap estimator far tighter than two independent runs.
-Means and variances are accumulated chunk-wise with exact pairwise
-combination of (count, mean, M2) triples.
+Every estimator streams chunks of ``_CHUNK`` samples from one generator,
+folding exact (count, mean, M2) triples, so memory is
+O(_CHUNK * n_vars * dim).  Pair estimators draw x then y per chunk; signed
+sums draw sample-major, exactly continuing a whole-array draw's stream.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class GaussianIso(SamplerSpec):
         mean = as_point(self.mean, self.dim)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     def draw(self, rng, count):
         return self.mean + self.sigma * rng.standard_normal((count, self.dim))
@@ -225,51 +227,46 @@ def _combine(s1, s2):
     return n, mean, m2
 
 
-def _running_stats(values: np.ndarray) -> tuple[int, float, float]:
-    """Single-pass (count, mean, M2) over fixed-size chunks, combined exactly."""
-    acc = None
-    for start in range(0, values.size, _CHUNK):
-        stats = _chunk_stats(values[start : start + _CHUNK])
-        acc = stats if acc is None else _combine(acc, stats)
-    return acc
+def _estimate(stats, seed: int) -> McEstimate:
+    n, mean, m2 = stats
+    stderr = float(np.sqrt(m2 / (n - 1) / n))
+    if not (np.isfinite(mean) and np.isfinite(stderr)):
+        raise ValueError(f"Monte Carlo estimate is not finite: mean {mean}, stderr {stderr}")
+    return McEstimate(mean=mean, stderr=stderr, n_samples=n, seed=seed)
 
 
-def _estimate(values: np.ndarray, seed: int) -> McEstimate:
-    n, mean, m2 = _running_stats(values)
-    var = m2 / (n - 1) if n > 1 else 0.0
-    return McEstimate(mean=mean, stderr=float(np.sqrt(var / n)), n_samples=n, seed=seed)
-
-
-def _check_psi_spec(psi, spec: SamplerSpec):
+def _stream(psi, spec: SamplerSpec, n_samples: int, seed: int, chunk_values) -> list[McEstimate]:
+    """One estimate per value array of ``chunk_values(rng, count)``, which draws
+    and evaluates one chunk; each array's (count, mean, M2) is folded across chunks."""
     if psi.dim != spec.dim:
         raise DimensionMismatch(f"psi has dimension {psi.dim}, sampler has {spec.dim}")
-
-
-def _pair_values(psi, spec, n_samples, seed):
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
     rng = _rng(seed)
-    x = spec.draw(rng, n_samples)
-    y = spec.draw(rng, n_samples)
-    return psi.eval_many(x - y), psi.eval_many(x + y)
+    acc = None
+    for start in range(0, n_samples, _CHUNK):
+        stats = [_chunk_stats(v) for v in chunk_values(rng, min(_CHUNK, n_samples - start))]
+        acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
+    return [_estimate(s, seed) for s in acc]
 
 
 def mc_pair_estimates(psi, spec: SamplerSpec, n_samples: int, seed: int):
     """(est_minus, est_plus) for E psi(X-Y) and E psi(X+Y) on shared draws."""
-    _check_psi_spec(psi, spec)
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    vm, vp = _pair_values(psi, spec, n_samples, seed)
-    return _estimate(vm, seed), _estimate(vp, seed)
+    verdict = mc_inequality_verdict(psi, spec, n_samples, seed)
+    return verdict.est_minus, verdict.est_plus
 
 
 def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
                           z_threshold: float = 5.0) -> InequalityVerdict:
     """Statistical verdict on E psi(X-Y) <= E psi(X+Y) from paired samples."""
-    _check_psi_spec(psi, spec)
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    vm, vp = _pair_values(psi, spec, n_samples, seed)
-    est_minus, est_plus = _estimate(vm, seed), _estimate(vp, seed)
-    diff = _estimate(vm - vp, seed)  # paired variance of the gap
+
+    def chunk_values(rng, count):
+        x = spec.draw(rng, count)
+        y = spec.draw(rng, count)
+        minus, plus = psi.eval_many(x - y), psi.eval_many(x + y)
+        return minus, plus, minus - plus  # the difference gives the paired variance
+
+    est_minus, est_plus, diff = _stream(psi, spec, n_samples, seed, chunk_values)
     if diff.stderr == 0.0:
         z = 0.0 if diff.mean == 0.0 else float(np.sign(diff.mean)) * float("inf")
     else:
@@ -285,16 +282,13 @@ def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
 
 def mc_signed_sum(psi, spec: SamplerSpec, pattern: SignPattern, n_samples: int, seed: int):
     """(est_signed, est_allplus) for E psi(sum eps_j X_j) and E psi(sum X_j)."""
-    _check_psi_spec(psi, spec)
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    n_vars = len(pattern)
-    rng = _rng(seed)
-    draws = spec.draw(rng, n_samples * n_vars).reshape(n_samples, n_vars, spec.dim)
     signs = np.array(pattern.signs, dtype=float)
-    s_signed = np.einsum("j,njd->nd", signs, draws)
-    s_plus = draws.sum(axis=1)
-    return _estimate(psi.eval_many(s_signed), seed), _estimate(psi.eval_many(s_plus), seed)
+
+    def chunk_values(rng, count):
+        draws = spec.draw(rng, count * signs.size).reshape(count, signs.size, spec.dim)
+        return psi.eval_many(np.einsum("j,njd->nd", signs, draws)), psi.eval_many(draws.sum(axis=1))
+
+    return tuple(_stream(psi, spec, n_samples, seed, chunk_values))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution
+from ndflab import cli
 from ndflab.cli import ConfigError, _exact_check, main, run
 
 PSI_ABS = {"type": "euclidean_power", "alpha": 1, "dim": 1}
@@ -150,6 +151,67 @@ class TestMain:
         law = {"atoms": [[0], [1]], "weights": [float("nan"), 0.5]}
         cfg = write(tmp_path, "c.json", {"psi": PSI_ABS, "distribution": law})
         assert main(["verify-inequality", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("sigma", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_exit_2_non_finite_config_number(self, tmp_path, capsys, sigma):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"psi": {"type": "euclidean_power", "alpha": 2, "dim": 1}, "n_samples": 1000, "seed": 1, '
+            f'"sampler": {{"type": "gaussian_iso", "dim": 1, "sigma": {sigma}, "mean": [0]}}}}'
+        )
+        assert main(["verify-inequality", "--config", str(path)]) == 2
+        assert f"non-finite number {sigma} in config" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_2_monte_carlo_overflow(self, tmp_path):
+        sampler = {"type": "gaussian_iso", "dim": 1, "sigma": 1e200, "mean": [0.0]}
+        psi = {"type": "euclidean_power", "alpha": 2, "dim": 1}
+        cfg = write(tmp_path, "c.json", {"psi": psi, "sampler": sampler, "n_samples": 1000, "seed": 1})
+        assert main(["verify-inequality", "--config", cfg]) == 2
+
+    def test_exit_2_non_finite_result(self, tmp_path, capsys):
+        # psi(x +/- y) overflows to inf, so the gap is NaN
+        psi = {"type": "euclidean_power", "alpha": 2, "dim": 1}
+        law = {"atoms": [[1e200], [-1e200]], "weights": [0.5, 0.5]}
+        cfg = write(tmp_path, "c.json", {"psi": psi, "distribution": law})
+        assert main(["verify-inequality", "--config", cfg]) == 2
+        assert "Out of range float" in capsys.readouterr().err
+
+    def test_exit_2_float_overflow(self, tmp_path):
+        # (M + 1)^alpha overflows a Python float in the closed form
+        cfg = write(tmp_path, "c.json", {"alpha": 3, "c": 1, "m": 1e300})
+        assert main(["counterexample", "--config", cfg]) == 2
+
+    def test_infinite_z_score_is_reported_as_null(self, tmp_path, capsys):
+        # a point mass gives the same difference psi(0) - psi(2) on every draw
+        point_mass = {"type": "discrete", "distribution": {"atoms": [[1.0]], "weights": [1.0]}}
+        cfg = write(tmp_path, "c.json", {"psi": PSI_ABS, "sampler": point_mass, "n_samples": 1000, "seed": 1})
+        assert main(["verify-inequality", "--config", cfg]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["z_score"] is None and results["verdict"] == "ConsistentHolds"
+
+    def test_exit_2_nested_too_deeply(self, tmp_path, capsys):
+        depth = 1500
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"psi": ' + '{"type": "subordinated", "f": {"type": "log1p"}, "inner": ' * depth
+            + json.dumps(PSI_ABS) + "}" * depth + ', "distribution": ' + json.dumps(BERNOULLI) + "}"
+        )
+        assert main(["verify-inequality", "--config", str(path)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_exit_3_on_internal_error(self, tmp_path, monkeypatch, capsys):
+        def crash(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "counterexample", crash)
+        cfg = write(tmp_path, "c.json", {"alpha": 3, "c": 1, "m": 10})
+        assert main(["counterexample", "--config", cfg]) == 3
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "internal error: RuntimeError: boom"
+
+    def test_exit_2_override_on_non_object_config(self, tmp_path):
+        cfg = write(tmp_path, "c.json", [1, 2])
+        assert main(["tail-identity", "--config", cfg, "--seed", "3"]) == 2
 
     def test_exit_2_schema_violation(self, tmp_path):
         cfg = write(tmp_path, "c.json", {"alpha": 3})

@@ -263,6 +263,16 @@ class TestDistributionType:
         assert p.n_atoms == 2
         assert p.weights[np.argmin(np.abs(p.atoms[:, 0] - 1.0))] == pytest.approx(0.6)
 
+    def test_merge_tolerance_scales_with_the_atoms(self):
+        # atoms spaced below 1e-12 are distinct when that is the law's own scale
+        p = DiscreteDistribution(np.array([[0.0], [5e-13], [9e-13]]), np.array([0.3, 0.3, 0.4]))
+        assert p.n_atoms == 3
+        assert exact_gap(ABS1, p) == pytest.approx(6.18e-13, rel=1e-9)
+        # lattice sums at a large step differ by more than 1e-12 in their last bits
+        for step in (3e4 + 0.3, 1000.1, 0.3):
+            law = DiscreteDistribution(np.arange(-3.0, 4.0)[:, None] * step, np.full(7, 1 / 7))
+            assert convolution_power(law, 4).n_atoms == 25
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.4]))
@@ -303,9 +313,9 @@ class TestTheoremBatteries:
 # properties of the merge and of signed sums by convolution
 # ---------------------------------------------------------------------------
 
-# coordinates with exact duplicates and near-duplicates within the 1e-12
-# merge tolerance: 0, 1e-13 and 1.05e-12 form a chain whose ends are
-# farther apart than the tolerance
+# coordinates with exact duplicates and near-duplicates within the merge
+# tolerance (1e-12 of the largest coordinate): 0, 1e-13 and 1.05e-12 form a
+# chain whose ends are farther apart than 1e-12
 _COORDS = st.sampled_from([-1.5, 0.0, 1e-13, 1.05e-12, 2.0, 2.0 + 4e-13, 7.25])
 
 
@@ -345,7 +355,8 @@ def test_merge_is_permutation_invariant(data):
 def test_merge_keeps_law_without_coincident_atoms(dim, data):
     coord = st.floats(-1e3, 1e3, allow_nan=False)
     atoms = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=12)))
-    assume(all(np.max(np.abs(a - b)) > 1e-12 for a, b in itertools.combinations(atoms, 2)))
+    tol = 1e-12 * np.max(np.abs(atoms))
+    assume(all(np.max(np.abs(a - b)) > tol for a, b in itertools.combinations(atoms, 2)))
     w = _normalised(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms))))
     p = DiscreteDistribution(atoms, w)
     np.testing.assert_array_equal(p.atoms, atoms)
@@ -375,8 +386,8 @@ def fraction_signed_sum_expectations(psi, dist, pattern):
 )
 def test_convolution_matches_exact_enumeration(dim, alpha, half, data):
     # alpha >= 1 keeps psi Lipschitz-like at 0, so the one extra rounding of
-    # the convolution (and merging sums that differ by less than 1e-12)
-    # stays within the bound below
+    # the convolution (and merging sums that differ by less than 1e-12 of
+    # the largest sum) stays within the bound below
     coord = st.floats(-10.0, 10.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3)
     atoms = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
     w = _normalised(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms))))

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndflab import (
     CounterexampleParams,
@@ -18,7 +21,16 @@ from ndflab import (
     mc_signed_sum,
     sample,
 )
-from ndflab.mc import CONSISTENT, INCONCLUSIVE, VIOLATION, parse_seed, sampler_from_obj, sampler_to_obj
+from ndflab.cli import _exact_check
+from ndflab.mc import (
+    _CHUNK,
+    CONSISTENT,
+    INCONCLUSIVE,
+    VIOLATION,
+    parse_seed,
+    sampler_from_obj,
+    sampler_to_obj,
+)
 from randgen import random_distribution, random_ndf_spec
 
 ABS1 = EuclideanPower(1.0, 1)
@@ -52,6 +64,11 @@ class TestSample:
         law = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.25, 0.75]))
         draws = sample(DiscreteSampler(law), 5, 100_000)
         assert draws.mean() == pytest.approx(0.75, abs=0.01)
+
+    def test_gaussian_sigma_must_be_finite_and_positive(self):
+        for sigma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                GaussianIso(1, sigma, [0.0])
 
     def test_counterexample_sampler(self):
         spec = CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0))
@@ -172,3 +189,68 @@ class TestPlumbing:
         vals = np.abs((x - y)[:, 0])
         assert est_minus.mean == pytest.approx(vals.mean(), rel=1e-12)
         assert est_minus.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(1000), rel=1e-9)
+
+
+class TestStreaming:
+    """The single chunked stream behind every Monte Carlo estimator."""
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # whole-array draws of 10^6 2-d pairs peak near 69 MB
+        tracemalloc.start()
+        try:
+            mc_inequality_verdict(EuclideanPower(1.0, 2), GaussianIso(2, 1.0, [0.0, 0.0]), 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_signed_sum_stream_is_unchanged(self):
+        # 3 full chunks plus a partial one; the values are those of a single
+        # whole-array draw of all n * n_vars samples, split into the same chunks
+        law = DiscreteDistribution(np.array([[0.0], [1.0], [-2.5]]), np.array([0.2, 0.3, 0.5]))
+        cases = [
+            (EuclideanPower(1.0, 2), GaussianIso(2, 1.0, [0.5, -0.25]), (1, 1, -1, -1), 2024,
+             [(2.5040956524269298, 0.0029269744369001464), (3.237693759362245, 0.003570967450111977)]),
+            (EuclideanPower(1.5, 1), DiscreteSampler(law), (1, -1), 2025,
+             [(2.878386748337883, 0.006266382891623746), (4.516012147850021, 0.008911420276878171)]),
+            (EuclideanPower(0.5, 2), UniformBox([0.0, -1.0], [2.0, 1.0]), (1, -1, 1, -1), 2026,
+             [(1.167418483899571, 0.0007070533024436409), (2.022230208348992, 0.000636952612292047)]),
+        ]
+        assert 3 * _CHUNK < 200_001 < 4 * _CHUNK
+        for psi, spec, signs, seed, expected in cases:
+            estimates = mc_signed_sum(psi, spec, SignPattern(signs), 200_001, seed)
+            assert [(e.mean, e.stderr) for e in estimates] == expected
+
+    def test_pair_estimates_follow_the_per_chunk_order(self):
+        n = _CHUNK + 1
+        spec = GaussianIso(1, 1.0, [0.25])
+        est_minus, est_plus = mc_pair_estimates(ABS1, spec, n, 18)
+        rng = np.random.Generator(np.random.Philox(key=18))
+        xs, ys = [], []
+        for count in (_CHUNK, 1):  # x then y for each chunk
+            xs.append(spec.draw(rng, count))
+            ys.append(spec.draw(rng, count))
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        for est, vals in ((est_minus, np.abs(x - y)[:, 0]), (est_plus, np.abs(x + y)[:, 0])):
+            assert est.n_samples == n
+            assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+            assert est.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_an_error(self):
+        with pytest.raises(ValueError, match="not finite"):
+            mc_inequality_verdict(EuclideanPower(2.0, 1), GaussianIso(1, 1e200, [0.0]), 1000, 4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dim=st.integers(1, 2), spec_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_mc_never_flags_a_law_the_exact_path_passes(dim, spec_seed, data):
+    psi = random_ndf_spec(np.random.default_rng(spec_seed), dim, depth=2)
+    coord = st.integers(-4, 4).map(lambda c: c / 2.0)
+    atoms = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    raw = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(atoms), max_size=len(atoms))), float)
+    law = DiscreteDistribution(np.array(atoms), raw / raw.sum())
+    _, passed = _exact_check(psi, law, 1e-10)
+    assert passed
+    verdict = mc_inequality_verdict(psi, DiscreteSampler(law), 2000, spec_seed)
+    assert verdict.kind != VIOLATION
