@@ -438,7 +438,9 @@ def emit_csv(report: dict, path: str):
         fh.write(report["csv"])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ndf-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -479,7 +481,11 @@ def _main(args) -> int:
             config["seed"] = args.seed
         if args.samples is not None:
             config["n_samples"] = args.samples
-        report = run(args.command, config)
+        # psi may overflow on extreme inputs; non-finite results are rejected
+        # (by mc._estimate, and by allow_nan=False below), so numpy's warnings
+        # would only add noise before the one error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = run(args.command, config)
         printable = {k: v for k, v in report.items() if k != "csv"}
         text = json.dumps(printable, indent=2, sort_keys=True, default=str, allow_nan=False)
     except (ConfigError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:

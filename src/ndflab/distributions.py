@@ -41,6 +41,8 @@ ENUMERATION_LIMIT = 10**7
 
 _MERGE_TOL = 1e-12
 
+_PAIR_TILE = 1 << 16  # pairs evaluated per tile of the exact pair sums
+
 
 class EnumerationLimitError(ValueError):
     """An exact sum would exceed the pair-term budget; use the Monte Carlo engine."""
@@ -180,10 +182,27 @@ def _check_dims(psi, dist: DiscreteDistribution):
 
 
 def _pair_values(psi, x, sign: float) -> np.ndarray:
-    """(k, k) array of psi(x_i + sign * x_j) over all pairs of rows of x."""
+    """(k, k) array of psi(x_i + sign * x_j) over all pairs of rows of x.
+
+    The one pair engine behind every exact pair sum.  Only the upper
+    triangle j >= i is evaluated, in tiles of rows [a, b) against columns
+    [a, k) holding about ``_PAIR_TILE`` pairs, and each tile is mirrored
+    into the lower triangle.  The mirror is exact because every psi here is
+    even bit for bit: x_j + x_i == x_i + x_j and x_j - x_i == -(x_i - x_j)
+    in IEEE arithmetic, and psi(-v) == psi(v).  The result therefore equals
+    a whole-array evaluation, while the pair points and psi temporaries
+    take O(_PAIR_TILE * n) memory instead of O(k^2 * n).
+    """
     k, n = x.shape
-    pairs = (x[:, None, :] + sign * x[None, :, :]).reshape(-1, n)
-    return psi.eval_many(pairs).reshape(k, k)
+    out = np.empty((k, k))
+    rows = max(1, _PAIR_TILE // k)
+    for a in range(0, k, rows):
+        b = min(a + rows, k)
+        pairs = (x[a:b, None, :] + sign * x[None, a:, :]).reshape(-1, n)
+        tile = psi.eval_many(pairs).reshape(b - a, k - a)
+        out[a:, a:b] = tile.T  # mirror first, so the diagonal block keeps
+        out[a:b, a:] = tile  # the values evaluated at (i, j) themselves
+    return out
 
 
 def exact_expectation(psi, dist: DiscreteDistribution, mode: str) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, psd_tolerance
-from .distributions import DiscreteDistribution, _pair_values, exact_gap
+from .distributions import DiscreteDistribution, _check_dims, _pair_values
 
 __all__ = [
     "GramResult",
@@ -44,8 +44,7 @@ def gram_matrix(psi, points) -> np.ndarray:
         raise ValueError("need a nonempty (k, n) point set")
     if pts.shape[1] != psi.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, psi has {psi.dim}")
-    mat = _pair_values(psi, pts, 1.0) - _pair_values(psi, pts, -1.0)
-    return 0.5 * (mat + mat.T)  # remove round-off asymmetry
+    return _pair_values(psi, pts, 1.0) - _pair_values(psi, pts, -1.0)  # exactly symmetric
 
 
 def psd_check(matrix, tol: float | None = None) -> GramResult:
@@ -85,12 +84,19 @@ def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float]:
     """(quadratic_form, gap): w' K w over the law's atoms vs the exact moment gap.
 
     Both equal the variance of the Gaussian functional integrated
-    against the law, hence agree and are nonnegative for cnd psi.
+    against the law, hence agree and are nonnegative for cnd psi.  The
+    pair matrices P = psi(x_i + x_j) and M = psi(x_i - x_j) are evaluated
+    once each; gap = w'Pw - w'Mw equals :func:`exact_gap` and w'(P - M)w
+    the quadratic form of :func:`gram_matrix`, bit for bit, so the two
+    sides are the same double sum added up in different orders.
     """
-    mat = gram_matrix(psi, dist.atoms)
+    _check_dims(psi, dist)
     w = dist.weights
-    quad = float(w @ mat @ w)
-    return quad, exact_gap(psi, dist)
+    plus = _pair_values(psi, dist.atoms, 1.0)
+    minus = _pair_values(psi, dist.atoms, -1.0)
+    gap = float(w @ plus @ w) - float(w @ minus @ w)
+    plus -= minus  # the Gram matrix K, in place
+    return float(w @ plus @ w), gap
 
 
 def gram_to_csv(matrix) -> str:

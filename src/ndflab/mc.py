@@ -12,6 +12,7 @@ sums draw sample-major, exactly continuing a whole-array draw's stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,14 @@ class DiscreteSampler(SamplerSpec):
     def dim(self):
         return self.distribution.dim
 
-    def draw(self, rng, count):
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
         cdf = np.cumsum(self.distribution.weights)
         cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.random(count), side="right")
+        return cdf
+
+    def draw(self, rng, count):
+        idx = np.searchsorted(self._cdf, rng.random(count), side="right")
         return self.distribution.atoms[idx]
 
     def to_obj(self):
@@ -151,8 +156,12 @@ class CounterexampleSampler(SamplerSpec):
 
     dim = 1
 
+    @functools.cached_property
+    def _discrete(self) -> DiscreteSampler:
+        return DiscreteSampler(counterexample_distribution(self.params))
+
     def draw(self, rng, count):
-        return DiscreteSampler(counterexample_distribution(self.params)).draw(rng, count)
+        return self._discrete.draw(rng, count)
 
     def to_obj(self):
         p = self.params

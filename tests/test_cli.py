@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ndflab import cli
 from ndflab.cli import ConfigError, _exact_check, main, run
 
 PSI_ABS = {"type": "euclidean_power", "alpha": 1, "dim": 1}
+PSI_SQUARE = {"type": "euclidean_power", "alpha": 2, "dim": 1}
 BERNOULLI = {"atoms": [[0], [1]], "weights": [0.5, 0.5]}
 
 
@@ -176,6 +178,37 @@ class TestMain:
         cfg = write(tmp_path, "c.json", {"psi": psi, "distribution": law})
         assert main(["verify-inequality", "--config", cfg]) == 2
         assert "Out of range float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("verify-inequality", {"psi": PSI_SQUARE, "n_samples": 1000, "seed": 1, "sampler": {
+                "type": "gaussian_iso", "dim": 1, "sigma": 1e200, "mean": [0.0]}}),
+            ("verify-inequality", {"psi": PSI_SQUARE, "distribution": {
+                "atoms": [[1e200], [-1e200]], "weights": [0.5, 0.5]}}),
+            ("check-kernel", {"psi": PSI_SQUARE, "points": [[1e200], [-1e200]]}),
+        ],
+    )
+    def test_overflow_prints_only_the_error_line(self, tmp_path, capsys, command, config):
+        # psi(x +/- y) overflows; the non-finite result is the error, and
+        # numpy's warnings about it are not printed
+        cfg = write(tmp_path, "c.json", config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg]) == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_parser_is_built_once(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        tail = write(tmp_path, "t.json", {"distribution": BERNOULLI})
+        zero_tol = write(tmp_path, "v.json", {
+            "psi": {"type": "euclidean_power", "alpha": 0.7, "dim": 1},
+            "distribution": {"atoms": [[0.1], [1.7]], "weights": [1 / 3, 2 / 3]}, "tolerance": 0.0})
+        assert main(["tail-identity", "--config", tail]) == 0
+        assert main(["variance-identity", "--config", zero_tol]) == 1
+        assert main(["tail-identity", "--config", tail]) == 0
 
     def test_exit_2_float_overflow(self, tmp_path):
         # (M + 1)^alpha overflows a Python float in the closed form

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ndflab import (
     CounterexampleParams,
@@ -25,7 +26,7 @@ from ndflab import (
     exact_signed_sum_gap,
     tail_identity_check,
 )
-from ndflab.distributions import distribution_from_obj, distribution_to_obj
+from ndflab.distributions import _pair_values, distribution_from_obj, distribution_to_obj
 from randgen import random_distribution, random_ndf_spec, random_sign_pattern
 
 ABS1 = EuclideanPower(1.0, 1)
@@ -398,3 +399,83 @@ def test_convolution_matches_exact_enumeration(dim, alpha, half, data):
     e_plus, e_signed = fraction_signed_sum_expectations(psi, p, pattern)
     gap = exact_signed_sum_gap(psi, p, pattern)
     assert abs(gap - (e_plus - e_signed)) <= 1e-12 * (e_plus + e_signed)
+
+
+# ---------------------------------------------------------------------------
+# the tiled pair engine
+# ---------------------------------------------------------------------------
+
+
+def _random_psi(spec_seed, dim, raw_alpha):
+    """A random spec tree, or a RawAbsPower probe when raw_alpha is given."""
+    if raw_alpha is not None:
+        return RawAbsPower(raw_alpha, dim)
+    return random_ndf_spec(np.random.default_rng(spec_seed), dim)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.integers(1, 300),
+    sign=st.sampled_from([1.0, -1.0]),
+    spec_seed=st.integers(0, 2**32 - 1),
+    raw_alpha=st.none() | st.floats(0.1, 4.0),
+    log_scale=st.floats(-3.0, 4.0),
+)
+@example(dim=2, k=300, sign=-1.0, spec_seed=3, raw_alpha=None, log_scale=0.0)
+def test_pair_values_match_the_whole_array(dim, k, sign, spec_seed, raw_alpha, log_scale):
+    # k above _PAIR_TILE ** 0.5 = 256 makes the engine run several row tiles
+    psi = _random_psi(spec_seed, dim, raw_alpha)
+    x = np.random.default_rng(spec_seed + k).normal(scale=10.0**log_scale, size=(k, dim))
+    whole = psi.eval_many((x[:, None] + sign * x[None]).reshape(-1, dim)).reshape(k, k)
+    assert np.array_equal(_pair_values(psi, x, sign), whole)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    spec_seed=st.integers(0, 2**32 - 1),
+    raw_alpha=st.none() | st.floats(0.1, 4.0),
+    log_scale=st.floats(-3.0, 4.0),
+)
+def test_psi_is_even_bit_for_bit(dim, spec_seed, raw_alpha, log_scale):
+    # the engine mirrors psi(x_i - x_j) into psi(x_j - x_i) on this assumption
+    psi = _random_psi(spec_seed, dim, raw_alpha)
+    v = np.random.default_rng(spec_seed).normal(scale=10.0**log_scale, size=(64, dim))
+    assert np.array_equal(psi.eval_many(-v), psi.eval_many(v))
+
+
+def test_exact_gap_memory_is_bounded_by_the_tile():
+    # the k x k result is 30.5 MB; whole-array pair points and psi
+    # temporaries peaked at 122 MB
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.05, 1.0, size=2000)
+    law = DiscreteDistribution(rng.normal(size=(2000, 2)), w / w.sum())
+    tracemalloc.start()
+    try:
+        exact_gap(EuclideanPower(1.0, 2), law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    alpha=st.floats(0.1, 2.0),
+    c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+    data=st.data(),
+)
+def test_gap_is_homogeneous(dim, alpha, c, data):
+    coord = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)  # c * x stays normal
+    atoms = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=12)))
+    w = _normalised(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms))))
+    law, scaled = DiscreteDistribution(atoms, w), DiscreteDistribution(c * atoms, w)
+    assume(scaled.n_atoms == law.n_atoms)  # rounding c * x can move a pair across the merge tolerance
+    psi = EuclideanPower(alpha, dim)
+    e_plus, e_minus = exact_expectation(psi, scaled, "sum"), exact_expectation(psi, scaled, "difference")
+    # rounding c * x and the power costs a few eps per term, on top of the
+    # k-term sums; 20000 random cases of this shape stayed below 3.6 * rounding
+    rounding = np.finfo(float).eps * scaled.n_atoms * (e_plus + e_minus)
+    assert abs(exact_gap(psi, scaled) - abs(c) ** alpha * exact_gap(psi, law)) <= 8.0 * rounding

@@ -236,6 +236,20 @@ class TestStreaming:
             assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
             assert est.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-12)
 
+    def test_counterexample_law_is_built_once(self, monkeypatch):
+        built = []
+        post_init = DiscreteDistribution.__post_init__
+
+        def counted(law):
+            built.append(law)
+            post_init(law)
+
+        monkeypatch.setattr(DiscreteDistribution, "__post_init__", counted)
+        spec = CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0))
+        assert 3 * _CHUNK < 200_001  # x and y are drawn in each of 4 chunks
+        mc_inequality_verdict(RawAbsPower(3.0), spec, 200_001, 6)
+        assert len(built) == 1
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_an_error(self):
         with pytest.raises(ValueError, match="not finite"):
