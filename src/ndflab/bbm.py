@@ -96,8 +96,7 @@ def _cov(params: BbmParams, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 def bbm_cov_matrix(params: BbmParams, grid) -> np.ndarray:
     """Covariance matrix R(t_i, t_j) over a time grid."""
     g = _check_grid(grid)
-    mat = _cov(params, g[:, None], g[None, :])
-    return 0.5 * (mat + mat.T)
+    return _cov(params, g[:, None], g[None, :])  # symmetric bit for bit
 
 
 def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> GridPath:

@@ -271,10 +271,20 @@ class FromTriplet(NdfSpec):
         return self.triplet.dim
 
     def eval_many(self, pts):
+        # <Q xi, xi> summed point by point in a fixed (i, j) order, so a
+        # point's value does not depend on the batch it is evaluated in
         q = self.triplet.q
-        out = 0.5 * np.einsum("ij,nj,ni->n", q, pts, pts)
+        quad = np.zeros(pts.shape[0])
+        for i in range(q.shape[0]):
+            for j in range(q.shape[1]):
+                quad += q[i, j] * pts[:, j] * pts[:, i]
+        out = 0.5 * quad
         for u, m in self.triplet.atoms:
-            out += m * (1.0 - np.cos(pts @ u))
+            t = pts @ u
+            np.cos(t, out=t)
+            np.subtract(1.0, t, out=t)
+            t *= m
+            out += t
         return out
 
     def to_obj(self):
@@ -306,7 +316,7 @@ class EuclideanPower(NdfSpec):
         sq = np.einsum("ni,ni->n", pts, pts)
         if self.alpha == 2.0:
             return sq
-        return np.power(sq, 0.5 * self.alpha)
+        return np.power(sq, 0.5 * self.alpha, out=sq)
 
     def to_obj(self):
         return {"type": "euclidean_power", "alpha": self.alpha, "dim": self.dim}

@@ -173,7 +173,7 @@ class RawAbsPower:
 
     def eval_many(self, pts):
         sq = np.einsum("ni,ni->n", pts, pts)
-        return np.power(sq, 0.5 * self.alpha)
+        return np.power(sq, 0.5 * self.alpha, out=sq)
 
 
 def _check_dims(psi, dist: DiscreteDistribution):

@@ -8,6 +8,14 @@ Every estimator streams chunks of ``_CHUNK`` samples from one generator,
 folding exact (count, mean, M2) triples, so memory is
 O(_CHUNK * n_vars * dim).  Pair estimators draw x then y per chunk; signed
 sums draw sample-major, exactly continuing a whole-array draw's stream.
+
+A chunk makes as few passes over memory as its arithmetic allows, without
+changing a bit of it: Gaussian and uniform draws are scaled and shifted in
+place, deviations are squared in place, and a signed sum's all-plus sum
+adds the variables one at a time in sign order.  That order is the one
+``draws.sum(axis=1)`` takes when dim >= 2 or there are fewer than 8 signs;
+for a 1-d law with 8 or more signs numpy sums pairwise instead, so there
+the all-plus estimate may differ from that sum in its last bits.
 """
 
 from __future__ import annotations
@@ -108,7 +116,10 @@ class GaussianIso(SamplerSpec):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     def draw(self, rng, count):
-        return self.mean + self.sigma * rng.standard_normal((count, self.dim))
+        z = rng.standard_normal((count, self.dim))
+        z *= self.sigma
+        z += self.mean
+        return z
 
     def to_obj(self):
         return {
@@ -142,7 +153,9 @@ class UniformBox(SamplerSpec):
 
     def draw(self, rng, count):
         u = rng.random((count, self.dim))
-        return self.lower + u * (self.upper - self.lower)
+        u *= self.upper - self.lower
+        u += self.lower
+        return u
 
     def to_obj(self):
         return {"type": "uniform_box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
@@ -222,7 +235,9 @@ def sample(spec: SamplerSpec, seed: int, count: int) -> np.ndarray:
 def _chunk_stats(values: np.ndarray) -> tuple[int, float, float]:
     n = values.size
     mean = float(values.mean())
-    m2 = float(np.sum((values - mean) ** 2))
+    dev = values - mean
+    dev *= dev
+    m2 = float(np.sum(dev))
     return n, mean, m2
 
 
@@ -295,7 +310,10 @@ def mc_signed_sum(psi, spec: SamplerSpec, pattern: SignPattern, n_samples: int, 
 
     def chunk_values(rng, count):
         draws = spec.draw(rng, count * signs.size).reshape(count, signs.size, spec.dim)
-        return psi.eval_many(np.einsum("j,njd->nd", signs, draws)), psi.eval_many(draws.sum(axis=1))
+        total = draws[:, 0] + draws[:, 1]  # added in sign order, one variable at a time
+        for j in range(2, signs.size):
+            total += draws[:, j]
+        return psi.eval_many(np.einsum("j,njd->nd", signs, draws)), psi.eval_many(total)
 
     return tuple(_stream(psi, spec, n_samples, seed, chunk_values))
 

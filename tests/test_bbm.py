@@ -12,7 +12,7 @@ from ndflab import (
     kernel_kpsi,
     psd_check,
 )
-from ndflab.bbm import GridPath, paths_to_csv
+from ndflab.bbm import GridPath, _cov, paths_to_csv
 
 
 class TestParams:
@@ -50,6 +50,16 @@ class TestCovariance:
         mat = bbm_cov_matrix(BbmParams(0.5, 1.0), grid)
         expected = np.minimum.outer(grid, grid)
         np.testing.assert_allclose(mat, expected, rtol=1e-12)
+
+    def test_matrix_is_the_covariance_and_exactly_symmetric(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            h = rng.uniform(0.05, 1.0)
+            params = BbmParams(h, rng.uniform(0.05, min(2.0, 1.0 / h)))
+            g = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 5.0, size=int(rng.integers(1, 60)))]))
+            mat = bbm_cov_matrix(params, g)
+            assert np.array_equal(mat, _cov(params, g[:, None], g[None, :]))
+            assert np.array_equal(mat, mat.T)
 
     def test_single_point(self):
         mat = bbm_cov_matrix(BbmParams(0.8, 0.6), [2.0])

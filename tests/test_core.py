@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ndflab import (
     BernsteinTriplet,
@@ -25,7 +25,7 @@ from ndflab.core import (
     ndf_from_json,
     ndf_to_json,
 )
-from randgen import random_bernstein, random_ndf_spec
+from randgen import random_bernstein, random_ndf_spec, random_triplet_spec
 
 
 def test_eval_bernstein_examples():
@@ -185,3 +185,33 @@ def test_decoded_spec_evaluates_identically():
     clone = ndf_from_json(ndf_to_json(psi))
     pts = rng.normal(size=(50, 2))
     np.testing.assert_array_equal(eval_psi_many(psi, pts), eval_psi_many(clone, pts))
+
+
+def _quadratic_case(dim, spec_seed, zero_q, n):
+    """An atom-free triplet with Q from ``random_triplet_spec`` and n points."""
+    rng = np.random.default_rng(spec_seed)
+    q = random_triplet_spec(rng, dim).triplet.q
+    if zero_q:
+        q = np.zeros_like(q)
+    pts = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    return FromTriplet(LevyTriplet(q=q)), pts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), spec_seed=st.integers(0, 2**32 - 1), zero_q=st.booleans(),
+       n=st.integers(3, 40))
+def test_quadratic_form_matches_the_einsum_bit_for_bit(dim, spec_seed, zero_q, n):
+    psi, pts = _quadratic_case(dim, spec_seed, zero_q, n)
+    q = psi.triplet.q
+    np.testing.assert_array_equal(psi.eval_many(pts), 0.5 * np.einsum("ij,nj,ni->n", q, pts, pts))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), spec_seed=st.integers(0, 2**32 - 1), zero_q=st.booleans(),
+       n=st.integers(1, 8))
+def test_quadratic_form_of_a_point_does_not_depend_on_its_batch(dim, spec_seed, zero_q, n):
+    psi, pts = _quadratic_case(dim, spec_seed, zero_q, n)
+    batch = psi.eval_many(pts)
+    for k in range(n):
+        for a, b in ((k, k + 1), (0, k + 1), (k, n)):
+            assert psi.eval_many(pts[a:b])[k - a] == batch[k]

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndflab import (
+    ConicSum,
     CounterexampleParams,
     CounterexampleSampler,
     DiscreteDistribution,
     DiscreteSampler,
     EuclideanPower,
+    FromTriplet,
     GaussianIso,
+    LevyTriplet,
     RawAbsPower,
     SignPattern,
     UniformBox,
@@ -34,6 +37,11 @@ from ndflab.mc import (
 from randgen import random_distribution, random_ndf_spec
 
 ABS1 = EuclideanPower(1.0, 1)
+# a 2-d spec exercising the quadratic form, a Levy atom and a power
+PSI2 = ConicSum((
+    (1.0, FromTriplet(LevyTriplet(q=np.array([[1.0, 0.3], [0.3, 0.5]]), atoms=((np.array([0.7, -1.2]), 0.8),)))),
+    (0.5, EuclideanPower(1.5, 2)),
+))
 TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
@@ -215,11 +223,30 @@ class TestStreaming:
              [(2.878386748337883, 0.006266382891623746), (4.516012147850021, 0.008911420276878171)]),
             (EuclideanPower(0.5, 2), UniformBox([0.0, -1.0], [2.0, 1.0]), (1, -1, 1, -1), 2026,
              [(1.167418483899571, 0.0007070533024436409), (2.022230208348992, 0.000636952612292047)]),
+            (PSI2, UniformBox([-1.0, 0.0], [2.0, 0.5]), (1, -1, -1, 1, 1, -1, 1, -1), 2031,
+             [(5.399283348102231, 0.01373782075489002), (20.568288361602264, 0.03487042969235333)]),
         ]
         assert 3 * _CHUNK < 200_001 < 4 * _CHUNK
         for psi, spec, signs, seed, expected in cases:
             estimates = mc_signed_sum(psi, spec, SignPattern(signs), 200_001, seed)
             assert [(e.mean, e.stderr) for e in estimates] == expected
+
+    def test_pair_estimates_are_unchanged(self):
+        # (mean, stderr) of E psi(X-Y) and E psi(X+Y) over 3 full chunks plus a partial one
+        law = DiscreteDistribution(np.array([[0.0, 1.0], [1.5, -0.5], [-2.0, 0.25]]), np.array([0.2, 0.3, 0.5]))
+        cases = [
+            (PSI2, GaussianIso(2, 1.3, [0.4, -0.2]), 2027,
+             [(5.224913088506554, 0.009642573852580322), (5.676573266193953, 0.010407444173474405)]),
+            (PSI2, UniformBox([-1.0, 0.0], [2.0, 0.5]), 2028,
+             [(1.6426376283030149, 0.0038376053344926168), (2.726286491300053, 0.005974753628333565)]),
+            (PSI2, DiscreteSampler(law), 2029,
+             [(4.484874044851062, 0.009582323730950651), (5.587584003683891, 0.01099822121246709)]),
+            (RawAbsPower(3.0), CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0)), 2030,
+             [(237.3959730201349, 1.1393357540330746), (215.39764301178494, 1.8432037285718845)]),
+        ]
+        for psi, spec, seed, expected in cases:
+            verdict = mc_inequality_verdict(psi, spec, 200_001, seed)
+            assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == expected
 
     def test_pair_estimates_follow_the_per_chunk_order(self):
         n = _CHUNK + 1
