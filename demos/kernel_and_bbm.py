@@ -44,7 +44,7 @@ print("  (the negative direction is exactly the alpha = 3 counterexample)\n")
 # --- variance identity -------------------------------------------------------
 
 law = DiscreteDistribution(np.array([[0.0], [1.0], [3.0]]), np.array([0.2, 0.3, 0.5]))
-quad, gap = variance_identity(abs_power, law)
+quad, gap = variance_identity(abs_power, law)[:2]
 print(f"variance identity: w'Kw = {quad:.10f}, E|X+Y| - E|X-Y| = {gap:.10f}\n")
 
 # --- bifractional Brownian motion -------------------------------------------

@@ -22,150 +22,16 @@ import json
 import sys
 import traceback
 
-import jsonschema
 import numpy as np
 
 from . import bbm as bbm_mod
 from . import distributions as dist_mod
 from . import kernels as kernel_mod
 from . import mc as mc_mod
-from .core import canonical_dumps, ndf_from_obj, ndf_to_obj
-
-_SEED_SCHEMA = {
-    "oneOf": [
-        {"type": "integer", "minimum": 0},
-        {"type": "string", "pattern": "^(0[xX][0-9a-fA-F]+|[0-9]+)$"},
-    ]
-}
-
-_NDF_SCHEMA = {"$ref": "#/$defs/ndf"}
-
-_DEFS = {
-    "ndf": {
-        "type": "object",
-        "required": ["type"],
-        "properties": {"type": {"enum": ["from_triplet", "euclidean_power", "subordinated", "conic_sum"]}},
-    },
-    "distribution": {
-        "type": "object",
-        "required": ["atoms", "weights"],
-        "properties": {
-            "atoms": {"type": "array", "minItems": 1},
-            "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        },
-    },
-    "sampler": {
-        "type": "object",
-        "required": ["type"],
-        "properties": {"type": {"enum": ["discrete", "gaussian_iso", "uniform_box", "counterexample"]}},
-    },
-    "pattern": {
-        "type": "array",
-        "items": {"enum": [1, -1]},
-        "minItems": 2,
-    },
-    "seed": _SEED_SCHEMA,
-}
-
-SCHEMAS = {
-    "verify-inequality": {
-        "type": "object",
-        "required": ["psi"],
-        "properties": {
-            "command": {"const": "verify-inequality"},
-            "psi": _NDF_SCHEMA,
-            "distribution": {"$ref": "#/$defs/distribution"},
-            "sampler": {"$ref": "#/$defs/sampler"},
-            "n_samples": {"type": "integer", "minimum": 100},
-            "seed": {"$ref": "#/$defs/seed"},
-            "z_threshold": {"type": "number", "exclusiveMinimum": 0},
-            "tolerance": {"type": "number", "minimum": 0},
-        },
-        "oneOf": [{"required": ["distribution"]}, {"required": ["sampler"]}],
-        "additionalProperties": False,
-    },
-    "check-kernel": {
-        "type": "object",
-        "required": ["psi", "points"],
-        "properties": {
-            "command": {"const": "check-kernel"},
-            "psi": _NDF_SCHEMA,
-            "points": {"type": "array", "minItems": 1},
-            "tolerance": {"type": "number", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "variance-identity": {
-        "type": "object",
-        "required": ["psi", "distribution"],
-        "properties": {
-            "command": {"const": "variance-identity"},
-            "psi": _NDF_SCHEMA,
-            "distribution": {"$ref": "#/$defs/distribution"},
-            "tolerance": {"type": "number", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "counterexample": {
-        "type": "object",
-        "required": ["alpha", "c"],
-        "properties": {
-            "command": {"const": "counterexample"},
-            "alpha": {"type": "number", "exclusiveMinimum": 2},
-            "c": {"type": "number", "exclusiveMinimum": 0},
-            "m": {"type": "number"},
-            "m_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        },
-        "oneOf": [{"required": ["m"]}, {"required": ["m_grid"]}],
-        "additionalProperties": False,
-    },
-    "tail-identity": {
-        "type": "object",
-        "required": ["distribution"],
-        "properties": {
-            "command": {"const": "tail-identity"},
-            "distribution": {"$ref": "#/$defs/distribution"},
-            "tolerance": {"type": "number", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "simulate-bbm": {
-        "type": "object",
-        "required": ["h", "k", "grid", "n_paths", "seed"],
-        "properties": {
-            "command": {"const": "simulate-bbm"},
-            "h": {"type": "number"},
-            "k": {"type": "number"},
-            "grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            "n_paths": {"type": "integer", "minimum": 1},
-            "seed": {"$ref": "#/$defs/seed"},
-        },
-        "additionalProperties": False,
-    },
-    "signed-sum": {
-        "type": "object",
-        "required": ["psi", "pattern"],
-        "properties": {
-            "command": {"const": "signed-sum"},
-            "psi": _NDF_SCHEMA,
-            "pattern": {"$ref": "#/$defs/pattern"},
-            "distribution": {"$ref": "#/$defs/distribution"},
-            "sampler": {"$ref": "#/$defs/sampler"},
-            "n_samples": {"type": "integer", "minimum": 100},
-            "seed": {"$ref": "#/$defs/seed"},
-            "tolerance": {"type": "number", "minimum": 0},
-        },
-        "oneOf": [{"required": ["distribution"]}, {"required": ["sampler"]}],
-        "additionalProperties": False,
-    },
-}
-
-COMMANDS = tuple(SCHEMAS)
-
-
-class ConfigError(ValueError):
-    """Config failed validation; maps to exit code 2."""
-
+from .core import (NDF, NONNEGATIVE, NUMBER, POINTS, POSITIVE, VECTOR, ConfigError, Record,
+                   canonical_dumps, decode, json_schema, ndf_from_obj, ndf_to_obj)
+from .distributions import ALPHA_ABOVE_2, DISTRIBUTION
+from .mc import SAMPLERS
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -183,24 +49,9 @@ def _hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
 
 
-@functools.cache
-def _validator(command: str):
-    """The command's schema validator, built and its schema checked once per process."""
-    schema = {**SCHEMAS[command], "$defs": _DEFS}
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _validate(command: str, config: dict):
-    error = jsonschema.exceptions.best_match(_validator(command).iter_errors(config))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {error.message}")
-    if "command" in config and config["command"] != command:
-        raise ConfigError(
-            f"config declares command {config['command']!r} but {command!r} was invoked"
-        )
+def _validate(command: str, config) -> dict:
+    """The config checked at every depth against the command's table, integers as int."""
+    return decode(COMMANDS[command], config, build=False)
 
 
 def _single_row_csv(columns: list[str], values: list) -> str:
@@ -213,6 +64,11 @@ def _single_row_csv(columns: list[str], values: list) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _rounding(law, e_plus: float, e_minus: float) -> float:
+    """eps * k * (|E psi(X+Y)| + |E psi(X-Y)|): the rounding of two k-atom pair sums."""
+    return float(np.finfo(float).eps) * law.n_atoms * (abs(e_plus) + abs(e_minus))
+
+
 def _exact_check(psi, law, tolerance: float, names=("e_minus", "e_plus")):
     """(results, passed) for E psi(X-Y) <= E psi(X+Y) on a finite k-atom law.
 
@@ -223,10 +79,14 @@ def _exact_check(psi, law, tolerance: float, names=("e_minus", "e_plus")):
     e_minus = dist_mod.exact_expectation(psi, law, "difference")
     e_plus = dist_mod.exact_expectation(psi, law, "sum")
     gap = e_plus - e_minus
-    rounding = float(np.finfo(float).eps) * law.n_atoms * (abs(e_plus) + abs(e_minus))
+    rounding = _rounding(law, e_plus, e_minus)
     results = {"method": "exact", names[0]: e_minus, names[1]: e_plus, "gap": gap,
                "tolerance": tolerance, "rounding_tolerance": rounding}
     return results, gap >= -(tolerance + rounding)
+
+
+_VERIFY_COLUMNS = ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"]
+_SIGNED_COLUMNS = ["method", "e_signed", "e_allplus", "gap", "n_samples", "seed"]
 
 
 def _run_verify_inequality(config):
@@ -236,7 +96,7 @@ def _run_verify_inequality(config):
         dist = dist_mod.distribution_from_obj(config["distribution"])
         results, passed = _exact_check(psi, dist, config.get("tolerance", 1e-10))
         csv_text = _single_row_csv(
-            ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"],
+            _VERIFY_COLUMNS,
             [psi_id, _hash(config["distribution"]), results["e_minus"], results["e_plus"],
              results["gap"], "exact", 0, 0.0, ""],
         )
@@ -263,7 +123,7 @@ def _run_verify_inequality(config):
         "z_threshold": z_threshold,
     }
     csv_text = _single_row_csv(
-        ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"],
+        _VERIFY_COLUMNS,
         [psi_id, _hash(config["sampler"]), verdict.est_minus.mean, verdict.est_plus.mean,
          gap, "monte_carlo", n, stderr, seed],
     )
@@ -288,10 +148,12 @@ def _run_variance_identity(config):
     psi = ndf_from_obj(config["psi"])
     dist = dist_mod.distribution_from_obj(config["distribution"])
     tol = config.get("tolerance", 1e-10)
-    quad, gap = kernel_mod.variance_identity(psi, dist)
+    quad, gap, e_plus, e_minus = kernel_mod.variance_identity(psi, dist)
     err = abs(quad - gap)
-    passed = err <= tol * max(1.0, abs(gap)) and quad >= -tol
-    results = {"quadratic_form": quad, "gap": gap, "abs_error": err, "tolerance": tol}
+    rounding = _rounding(dist, e_plus, e_minus)
+    passed = err <= tol * max(1.0, abs(gap)) + rounding and quad >= -(tol + rounding)
+    results = {"quadratic_form": quad, "gap": gap, "abs_error": err, "tolerance": tol,
+               "rounding_tolerance": rounding}
     csv_text = _single_row_csv(
         ["quadratic_form", "gap", "abs_error", "tolerance"], [quad, gap, err, tol]
     )
@@ -375,7 +237,7 @@ def _run_signed_sum(config):
         tol = config.get("tolerance", 1e-10)
         results, passed = _exact_check(psi, law, tol, ("e_signed", "e_allplus"))
         csv_text = _single_row_csv(
-            ["method", "e_signed", "e_allplus", "gap", "n_samples", "seed"],
+            _SIGNED_COLUMNS,
             ["exact", results["e_signed"], results["e_allplus"], results["gap"], 0, ""],
         )
         return results, passed, csv_text
@@ -401,27 +263,48 @@ def _signed_sum_mc(psi, sampler, pattern, config):
         "seed": seed,
     }
     csv_text = _single_row_csv(
-        ["method", "e_signed", "e_allplus", "gap", "n_samples", "seed"],
+        _SIGNED_COLUMNS,
         ["monte_carlo", est_signed.mean, est_plus.mean, gap, n, seed],
     )
     return results, passed, csv_text
 
 
-_HANDLERS = {
-    "verify-inequality": _run_verify_inequality,
-    "check-kernel": _run_check_kernel,
-    "variance-identity": _run_variance_identity,
-    "counterexample": _run_counterexample,
-    "tail-identity": _run_tail_identity,
-    "simulate-bbm": _run_simulate_bbm,
-    "signed-sum": _run_signed_sum,
+# each command's config fields, with its handler as the constructor
+SEED = {"type": ["integer", "string"], "minimum": 0, "maximum": 2**64 - 1,
+        "pattern": "^(0[xX][0-9a-fA-F]+|[0-9]+)$"}
+# an exact law, or a sampler with its sample count and seed
+_LAW = {"distribution": DISTRIBUTION, "sampler": SAMPLERS,
+        "n_samples": {"type": "integer", "minimum": 100}, "seed": SEED}
+_EITHER_LAW = {"one_of": ("distribution", "sampler"), "needs": {"sampler": ("n_samples", "seed")}}
+
+COMMANDS = {
+    "verify-inequality": Record(_run_verify_inequality, {
+        "psi": NDF, **_LAW, "z_threshold": POSITIVE, "tolerance": NONNEGATIVE}, ("psi",), **_EITHER_LAW),
+    "check-kernel": Record(_run_check_kernel, {
+        "psi": NDF, "points": POINTS, "tolerance": NONNEGATIVE}, ("psi", "points")),
+    "variance-identity": Record(_run_variance_identity, {
+        "psi": NDF, "distribution": DISTRIBUTION, "tolerance": NONNEGATIVE}, ("psi", "distribution")),
+    "counterexample": Record(_run_counterexample, {
+        "alpha": ALPHA_ABOVE_2, "c": POSITIVE, "m": NUMBER, "m_grid": VECTOR}, ("alpha", "c"),
+        ("m", "m_grid")),
+    "tail-identity": Record(_run_tail_identity, {
+        "distribution": DISTRIBUTION, "tolerance": NONNEGATIVE}, ("distribution",)),
+    "simulate-bbm": Record(_run_simulate_bbm, {
+        "h": NUMBER, "k": NUMBER, "grid": VECTOR, "n_paths": {"type": "integer", "minimum": 1},
+        "seed": SEED}, ("h", "k", "grid", "n_paths", "seed")),
+    "signed-sum": Record(_run_signed_sum, {
+        "psi": NDF, "pattern": {"type": "array", "items": {"type": "integer", "enum": [1, -1]},
+                                "minItems": 2},
+        **_LAW, "tolerance": NONNEGATIVE}, ("psi", "pattern"), **_EITHER_LAW),
 }
+for _name, _record in COMMANDS.items():
+    _record.fields["command"] = {"type": "string", "const": _name}  # a config may name its command
+_HANDLERS = {name: record.build for name, record in COMMANDS.items()}
 
 
 def run(command: str, config: dict) -> dict:
     """Validate and execute one experiment config; returns the report dict."""
-    _validate(command, config)
-    results, passed, csv_text = _HANDLERS[command](config)
+    results, passed, csv_text = _HANDLERS[command](_validate(command, config))
     return {
         "command": command,
         "config_hash": _hash(config),
@@ -465,7 +348,7 @@ def main(argv=None) -> int:
 
 def _main(args) -> int:
     if args.schema:
-        print(json.dumps(_validator(args.command).schema, indent=2, sort_keys=True))
+        print(json.dumps(json_schema(COMMANDS[args.command]), indent=2, sort_keys=True))
         return 0
     if not args.config:
         print("error: --config is required", file=sys.stderr)

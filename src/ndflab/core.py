@@ -14,12 +14,16 @@ over point batches is the primitive, with scalar wrappers on top.
 from __future__ import annotations
 
 import json
+import numbers
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "SpecError",
+    "ConfigError",
     "DimensionMismatch",
     "LevyTriplet",
     "BernsteinSpec",
@@ -102,7 +106,7 @@ class BernsteinSpec:
         raise NotImplementedError
 
     def to_obj(self) -> dict:
-        raise NotImplementedError
+        return encode(BERNSTEIN, self)
 
 
 @dataclass(frozen=True)
@@ -135,14 +139,6 @@ class BernsteinTriplet(BernsteinSpec):
     def value_at_zero(self):
         return self.a
 
-    def to_obj(self):
-        return {
-            "type": "triplet",
-            "a": self.a,
-            "b": self.b,
-            "atoms": [[t, w] for t, w in self.atoms],
-        }
-
 
 @dataclass(frozen=True)
 class Power(BernsteinSpec):
@@ -161,9 +157,6 @@ class Power(BernsteinSpec):
     def value_at_zero(self):
         return 0.0
 
-    def to_obj(self):
-        return {"type": "power", "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class Log1p(BernsteinSpec):
@@ -174,9 +167,6 @@ class Log1p(BernsteinSpec):
 
     def value_at_zero(self):
         return 0.0
-
-    def to_obj(self):
-        return {"type": "log1p"}
 
 
 def eval_bernstein_many(f: BernsteinSpec, lam) -> np.ndarray:
@@ -253,7 +243,7 @@ class NdfSpec:
         raise NotImplementedError
 
     def to_obj(self) -> dict:
-        raise NotImplementedError
+        return encode(NDF, self)
 
 
 @dataclass(frozen=True)
@@ -287,15 +277,6 @@ class FromTriplet(NdfSpec):
             out += t
         return out
 
-    def to_obj(self):
-        return {
-            "type": "from_triplet",
-            "dim": self.dim,
-            "a": 0.0,
-            "q": self.triplet.q.tolist(),
-            "atoms": [{"u": u.tolist(), "m": m} for u, m in self.triplet.atoms],
-        }
-
 
 @dataclass(frozen=True)
 class EuclideanPower(NdfSpec):
@@ -318,9 +299,6 @@ class EuclideanPower(NdfSpec):
             return sq
         return np.power(sq, 0.5 * self.alpha, out=sq)
 
-    def to_obj(self):
-        return {"type": "euclidean_power", "alpha": self.alpha, "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class Subordinated(NdfSpec):
@@ -339,13 +317,6 @@ class Subordinated(NdfSpec):
 
     def eval_many(self, pts):
         return self.f.eval_many(self.inner.eval_many(pts))
-
-    def to_obj(self):
-        return {
-            "type": "subordinated",
-            "f": self.f.to_obj(),
-            "inner": self.inner.to_obj(),
-        }
 
 
 @dataclass(frozen=True)
@@ -376,13 +347,6 @@ class ConicSum(NdfSpec):
             if c != 0.0:
                 out += c * spec.eval_many(pts)
         return out
-
-    def to_obj(self):
-        return {
-            "type": "conic_sum",
-            "dim": self.dim,
-            "terms": [[c, spec.to_obj()] for c, spec in self.terms],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +386,213 @@ def kernel_kpsi(psi: NdfSpec, xi, eta) -> float:
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON encoding (tagged unions)
+# JSON encoding: one field table per tagged family, read by decode, encode
+# and json_schema
 # ---------------------------------------------------------------------------
+
+MAX_DEPTH = 100  # objects and arrays a config may nest below its root
+
+
+class ConfigError(ValueError):
+    """A config or spec object does not fit its field table; maps to exit code 2."""
+
+
+@dataclass(frozen=True)
+class Record:
+    """An object kind: its fields' kinds, the required ones, and how to build and read it.
+
+    A kind is a Record, a Family or a JSON Schema fragment.  Exactly one of
+    the ``one_of`` fields must be given, a field in ``needs`` requires the
+    fields it maps to, and a given ``dim`` must equal the built object's.
+    ``read`` gives an object's fields back (by default its attributes);
+    ``cls`` is the class built where ``build`` is not one.
+    """
+
+    build: object
+    fields: dict
+    required: tuple = ()
+    one_of: tuple = ()
+    needs: dict = field(default_factory=dict)
+    cls: type | None = None
+    read: object = None
+
+
+@dataclass(frozen=True)
+class Family:
+    """A tagged union of records, told apart by their objects' "type" field."""
+
+    name: str
+    records: dict
+
+
+def nonempty(items) -> dict:
+    return {"type": "array", "items": items, "minItems": 1}
+
+
+def pair(first, second) -> dict:
+    return {"type": "array", "prefixItems": [first, second], "minItems": 2, "items": False}
+
+
+NUMBER = {"type": "number"}
+NONNEGATIVE = {"type": "number", "minimum": 0}
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+DIM = {"type": "integer", "minimum": 1}
+VECTOR = nonempty(NUMBER)
+POINTS = nonempty({**VECTOR, "type": ["number", "array"]})  # each point a number or a vector
+
+BERNSTEIN = Family("bernstein", {
+    "triplet": Record(BernsteinTriplet, {
+        "a": NONNEGATIVE, "b": NONNEGATIVE, "atoms": {"type": "array", "items": pair(POSITIVE, POSITIVE)}}),
+    "power": Record(Power, {"beta": {**POSITIVE, "maximum": 1}}, ("beta",)),
+    "log1p": Record(Log1p, {}),
+})
+NDF = Family("ndf", {})  # its records hold it, so they are added below
+NDF.records.update({
+    "from_triplet": Record(lambda q, atoms=(), a=0.0, dim=None: FromTriplet(LevyTriplet(q, atoms, a)), {
+        "dim": DIM, "a": {**NONNEGATIVE, "maximum": 0}, "q": nonempty(VECTOR),
+        "atoms": {"type": "array", "items": Record(
+            lambda u, m: (u, m), {"u": VECTOR, "m": POSITIVE}, ("u", "m"),
+            read=lambda atom: {"u": atom[0], "m": atom[1]})},
+    }, ("q",), cls=FromTriplet, read=lambda psi: {
+        "dim": psi.dim, "a": 0.0, "q": psi.triplet.q, "atoms": psi.triplet.atoms}),
+    "euclidean_power": Record(EuclideanPower, {"alpha": {**POSITIVE, "maximum": 2}, "dim": DIM},
+                              ("alpha",)),
+    "subordinated": Record(Subordinated, {"f": BERNSTEIN, "inner": NDF}, ("f", "inner")),
+    "conic_sum": Record(lambda terms, dim=None: ConicSum(terms), {
+        "dim": DIM, "terms": nonempty(pair(NONNEGATIVE, NDF))}, ("terms",), cls=ConicSum),
+})
+
+
+def _error(path: tuple, message: str) -> ConfigError:
+    return ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {message}")
+
+
+def _json_type(value) -> str:
+    """The value's JSON type; integral floats are integers, as in JSON Schema."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return "integer" if float(value).is_integer() else "number"
+    names = {bool: "boolean", str: "string", list: "array", dict: "object", type(None): "null"}
+    return names.get(type(value), type(value).__name__)
+
+
+_BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt, "maximum": operator.le}
+
+
+def decode(kind, value, path: tuple = (), build: bool = True, depth: int = 0):
+    """Check ``value`` against ``kind`` at every depth and return it decoded.
+
+    Values of integer kinds come back as int, and records built by their
+    constructors, or as dicts of their decoded fields when ``build`` is
+    false.  A misfit, or nesting past MAX_DEPTH, raises ConfigError naming
+    the path of the field at fault.
+    """
+    actual = _json_type(value)
+    if actual in ("array", "object") and depth >= MAX_DEPTH:
+        raise _error(path, f"nested deeper than {MAX_DEPTH} levels")
+    if isinstance(kind, (Record, Family)):
+        return _decode_object(kind, value, actual, path, build, depth)
+    allowed = kind["type"] if isinstance(kind["type"], list) else [kind["type"]]
+    if actual not in allowed and not (actual == "integer" and "number" in allowed):
+        raise _error(path, f"expected {' or '.join(allowed)}, got {actual}")
+    if actual == "array":
+        if len(value) < kind.get("minItems", 0):
+            raise _error(path, f"expected at least {kind['minItems']} items, got {len(value)}")
+        kinds = kind.get("prefixItems") or [kind["items"]] * len(value)
+        if len(value) > len(kinds):
+            raise _error(path, f"expected at most {len(kinds)} items, got {len(value)}")
+        if kind.get("items") is NUMBER and all(type(v) is float or type(v) is int for v in value):
+            return value  # a plain vector, checked in one pass
+        return [decode(k, v, path + (i,), build, depth + 1) for i, (k, v) in enumerate(zip(kinds, value))]
+    if actual == "string":
+        if value != kind.get("const", value):
+            raise _error(path, f"expected {kind['const']!r}, got {value!r}")
+        if not re.search(kind.get("pattern", ""), value):
+            raise _error(path, f"{value!r} does not match {kind['pattern']}")
+        return value
+    if value not in kind.get("enum", [value]):
+        raise _error(path, f"expected one of {kind['enum']}, got {value!r}")
+    for key, holds in _BOUNDS.items():
+        if key in kind and not holds(value, kind[key]):
+            raise _error(path, f"expected {key} {kind[key]}, got {value!r}")
+    return int(value) if actual == "integer" and "integer" in allowed else value
+
+
+def _decode_object(kind, obj, actual, path, build, depth):
+    if actual != "object":
+        raise _error(path, f"expected object, got {actual}")
+    record, given, tag = kind, dict(obj), {}
+    if isinstance(kind, Family):
+        tag = {"type": given.pop("type", None)}
+        record = kind.records.get(tag["type"]) if isinstance(tag["type"], str) else None
+        if record is None:
+            raise _error(path + ("type",), f"expected one of {list(kind.records)}, got {tag['type']!r}")
+    unknown = [name for name in given if name not in record.fields]
+    needed = (need for name, needs in record.needs.items() if name in given for need in needs)
+    missing = [name for name in (*record.required, *needed) if name not in given]
+    if unknown or missing:
+        raise _error(path + ((unknown or missing)[0],), "unknown field" if unknown else "missing field")
+    if record.one_of and sum(name in given for name in record.one_of) != 1:
+        raise _error(path, f"expected exactly one of the fields {' and '.join(record.one_of)}")
+    fields = {name: decode(record.fields[name], value, path + (name,), build, depth + 1)
+              for name, value in given.items()}
+    if not build:
+        return {**tag, **fields}
+    try:
+        built = record.build(**fields)
+        if "dim" in fields and fields["dim"] != built.dim:
+            raise SpecError(f"declared dimension {fields['dim']} disagrees with the spec's {built.dim}")
+    except ValueError as exc:  # an invariant across fields, e.g. a Q that is not PSD
+        raise _error(path, str(exc)) from exc
+    return built
+
+
+def encode(kind, value):
+    """The JSON object that :func:`decode` turns into ``value``."""
+    if isinstance(kind, Family):
+        tag, record = next((tag, r) for tag, r in kind.records.items()
+                           if isinstance(value, r.cls or r.build))
+        return {"type": tag, **encode(record, value)}
+    if isinstance(kind, Record):
+        fields = kind.read(value) if kind.read else {name: getattr(value, name) for name in kind.fields}
+        return {name: encode(kind.fields[name], v) for name, v in fields.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [encode(k, v) for k, v in zip(kind.get("prefixItems") or [kind["items"]] * len(value), value)]
+    return value
+
+
+def json_schema(kind) -> dict:
+    """The JSON Schema (draft 2020-12) of what ``kind`` decodes, families under ``$defs``.
+
+    It states every check of :func:`decode` but the depth cap and the
+    constructors' invariants across fields.
+    """
+    defs = {}
+
+    def emit(k):
+        if isinstance(k, Family):
+            if k.name not in defs:
+                defs[k.name] = {}  # a family may hold itself
+                defs[k.name] = {"oneOf": [record(r, {"type": {"const": tag}})
+                                          for tag, r in k.records.items()]}
+            return {"$ref": f"#/$defs/{k.name}"}
+        if isinstance(k, Record):
+            return record(k, {})
+        if isinstance(k, dict):
+            return {key: emit(v) for key, v in k.items()}
+        return [emit(v) for v in k] if isinstance(k, list) else k
+
+    def record(r, tag):
+        out = {"type": "object", "properties": {**tag, **emit(r.fields)},
+               "required": [*tag, *r.required], "additionalProperties": False}
+        if r.one_of:
+            out["oneOf"] = [{"required": [name]} for name in r.one_of]
+        if r.needs:
+            out["dependentRequired"] = {name: list(needs) for name, needs in r.needs.items()}
+        return out
+
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", **emit(kind), "$defs": defs}
 
 
 def canonical_dumps(obj) -> str:
@@ -436,20 +605,7 @@ def bernstein_to_obj(f: BernsteinSpec) -> dict:
 
 
 def bernstein_from_obj(obj: dict) -> BernsteinSpec:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise SpecError("Bernstein spec must be a tagged object")
-    kind = obj["type"]
-    if kind == "triplet":
-        return BernsteinTriplet(
-            a=obj.get("a", 0.0),
-            b=obj.get("b", 0.0),
-            atoms=tuple((t, w) for t, w in obj.get("atoms", [])),
-        )
-    if kind == "power":
-        return Power(obj["beta"])
-    if kind == "log1p":
-        return Log1p()
-    raise SpecError(f"unknown Bernstein spec type {kind!r}")
+    return decode(BERNSTEIN, obj, ("f",))
 
 
 def ndf_to_obj(psi: NdfSpec) -> dict:
@@ -457,26 +613,7 @@ def ndf_to_obj(psi: NdfSpec) -> dict:
 
 
 def ndf_from_obj(obj: dict) -> NdfSpec:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise SpecError("cnd spec must be a tagged object")
-    kind = obj["type"]
-    if kind == "from_triplet":
-        triplet = LevyTriplet(
-            q=np.asarray(obj["q"], dtype=float),
-            atoms=tuple((np.asarray(atom["u"], dtype=float), atom["m"]) for atom in obj.get("atoms", [])),
-            a=obj.get("a", 0.0),
-        )
-        spec = FromTriplet(triplet)
-        if "dim" in obj and int(obj["dim"]) != spec.dim:
-            raise SpecError("declared dimension disagrees with Q")
-        return spec
-    if kind == "euclidean_power":
-        return EuclideanPower(obj["alpha"], obj.get("dim", 1))
-    if kind == "subordinated":
-        return Subordinated(bernstein_from_obj(obj["f"]), ndf_from_obj(obj["inner"]))
-    if kind == "conic_sum":
-        return ConicSum(tuple((c, ndf_from_obj(t)) for c, t in obj["terms"]))
-    raise SpecError(f"unknown cnd spec type {kind!r}")
+    return decode(NDF, obj, ("psi",))
 
 
 def ndf_to_json(psi: NdfSpec) -> str:

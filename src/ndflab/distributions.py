@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch
+from .core import POINTS, VECTOR, DimensionMismatch, Record, decode, encode
 
 __all__ = [
     "DiscreteDistribution",
@@ -362,13 +362,15 @@ def ess_bounds_check(dist: DiscreteDistribution) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+DISTRIBUTION = Record(DiscreteDistribution, {"atoms": POINTS, "weights": VECTOR},
+                      ("atoms", "weights"))
+
+ALPHA_ABOVE_2 = {"type": "number", "exclusiveMinimum": 2}  # the counterexample family's alpha
+
+
 def distribution_to_obj(dist: DiscreteDistribution) -> dict:
-    return {"atoms": dist.atoms.tolist(), "weights": dist.weights.tolist()}
+    return encode(DISTRIBUTION, dist)
 
 
 def distribution_from_obj(obj: dict) -> DiscreteDistribution:
-    if not isinstance(obj, dict) or "atoms" not in obj or "weights" not in obj:
-        raise ValueError("distribution object needs 'atoms' and 'weights'")
-    return DiscreteDistribution(
-        np.asarray(obj["atoms"], dtype=float), np.asarray(obj["weights"], dtype=float)
-    )
+    return decode(DISTRIBUTION, obj, ("distribution",))

@@ -80,23 +80,24 @@ def sine_decomposition_check(psi: NdfSpec, xi, eta) -> tuple[float, float]:
     return direct, float(decomposed)
 
 
-def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float]:
-    """(quadratic_form, gap): w' K w over the law's atoms vs the exact moment gap.
+def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, float, float]:
+    """(quadratic_form, gap, e_plus, e_minus): w' K w over the law's atoms vs the exact moment gap.
 
     Both equal the variance of the Gaussian functional integrated
     against the law, hence agree and are nonnegative for cnd psi.  The
     pair matrices P = psi(x_i + x_j) and M = psi(x_i - x_j) are evaluated
-    once each; gap = w'Pw - w'Mw equals :func:`exact_gap` and w'(P - M)w
-    the quadratic form of :func:`gram_matrix`, bit for bit, so the two
-    sides are the same double sum added up in different orders.
+    once each; e_plus = w'Pw and e_minus = w'Mw are E psi(X+Y) and
+    E psi(X-Y), gap = e_plus - e_minus equals :func:`exact_gap` and
+    w'(P - M)w the quadratic form of :func:`gram_matrix`, bit for bit, so
+    the two sides are the same double sum added up in different orders.
     """
     _check_dims(psi, dist)
     w = dist.weights
     plus = _pair_values(psi, dist.atoms, 1.0)
     minus = _pair_values(psi, dist.atoms, -1.0)
-    gap = float(w @ plus @ w) - float(w @ minus @ w)
+    e_plus, e_minus = float(w @ plus @ w), float(w @ minus @ w)
     plus -= minus  # the Gram matrix K, in place
-    return float(w @ plus @ w), gap
+    return float(w @ plus @ w), e_plus - e_minus, e_plus, e_minus
 
 
 def gram_to_csv(matrix) -> str:

@@ -25,14 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, as_point
+from .core import (DIM, NUMBER, POSITIVE, VECTOR, DimensionMismatch, Family, Record, as_point, decode,
+                   encode)
 from .distributions import (
+    ALPHA_ABOVE_2,
+    DISTRIBUTION,
     CounterexampleParams,
     DiscreteDistribution,
     SignPattern,
     counterexample_distribution,
-    distribution_from_obj,
-    distribution_to_obj,
 )
 
 __all__ = [
@@ -71,7 +72,7 @@ class SamplerSpec:
         raise NotImplementedError
 
     def to_obj(self) -> dict:
-        raise NotImplementedError
+        return encode(SAMPLERS, self)
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,6 @@ class DiscreteSampler(SamplerSpec):
     def draw(self, rng, count):
         idx = np.searchsorted(self._cdf, rng.random(count), side="right")
         return self.distribution.atoms[idx]
-
-    def to_obj(self):
-        return {"type": "discrete", "distribution": distribution_to_obj(self.distribution)}
 
 
 @dataclass(frozen=True)
@@ -120,14 +118,6 @@ class GaussianIso(SamplerSpec):
         z *= self.sigma
         z += self.mean
         return z
-
-    def to_obj(self):
-        return {
-            "type": "gaussian_iso",
-            "dim": self.dim,
-            "sigma": self.sigma,
-            "mean": self.mean.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -157,9 +147,6 @@ class UniformBox(SamplerSpec):
         u += self.lower
         return u
 
-    def to_obj(self):
-        return {"type": "uniform_box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
 
 @dataclass(frozen=True)
 class CounterexampleSampler(SamplerSpec):
@@ -175,10 +162,6 @@ class CounterexampleSampler(SamplerSpec):
 
     def draw(self, rng, count):
         return self._discrete.draw(rng, count)
-
-    def to_obj(self):
-        p = self.params
-        return {"type": "counterexample", "alpha": p.alpha, "c": p.c, "m": p.m}
 
 
 @dataclass(frozen=True)
@@ -327,16 +310,18 @@ def sampler_to_obj(spec: SamplerSpec) -> dict:
     return spec.to_obj()
 
 
+SAMPLERS = Family("sampler", {
+    "discrete": Record(DiscreteSampler, {"distribution": DISTRIBUTION}, ("distribution",)),
+    "gaussian_iso": Record(GaussianIso, {"dim": DIM, "sigma": POSITIVE, "mean": VECTOR},
+                           ("dim", "sigma", "mean")),
+    "uniform_box": Record(UniformBox, {"lower": VECTOR, "upper": VECTOR}, ("lower", "upper")),
+    "counterexample": Record(
+        lambda alpha, c, m: CounterexampleSampler(CounterexampleParams(alpha, c, m)),
+        {"alpha": ALPHA_ABOVE_2, "c": POSITIVE, "m": NUMBER}, ("alpha", "c", "m"),
+        cls=CounterexampleSampler, read=lambda spec: {
+            "alpha": spec.params.alpha, "c": spec.params.c, "m": spec.params.m}),
+})
+
+
 def sampler_from_obj(obj: dict) -> SamplerSpec:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("sampler spec must be a tagged object")
-    kind = obj["type"]
-    if kind == "discrete":
-        return DiscreteSampler(distribution_from_obj(obj["distribution"]))
-    if kind == "gaussian_iso":
-        return GaussianIso(dim=obj["dim"], sigma=obj["sigma"], mean=obj["mean"])
-    if kind == "uniform_box":
-        return UniformBox(lower=obj["lower"], upper=obj["upper"])
-    if kind == "counterexample":
-        return CounterexampleSampler(CounterexampleParams(obj["alpha"], obj["c"], obj["m"]))
-    raise ValueError(f"unknown sampler type {kind!r}")
+    return decode(SAMPLERS, obj, ("sampler",))

@@ -5,14 +5,19 @@ import numpy as np
 from ndflab import (
     BernsteinTriplet,
     ConicSum,
+    CounterexampleParams,
+    CounterexampleSampler,
     DiscreteDistribution,
+    DiscreteSampler,
     EuclideanPower,
     FromTriplet,
+    GaussianIso,
     LevyTriplet,
     Log1p,
     Power,
     SignPattern,
     Subordinated,
+    UniformBox,
 )
 
 
@@ -71,6 +76,21 @@ def random_distribution(rng, dim, max_atoms=12, scale=2.0):
     atoms = rng.normal(scale=scale, size=(k, dim))
     w = rng.uniform(0.05, 1.0, size=k)
     return DiscreteDistribution(atoms, w / w.sum())
+
+
+def random_sampler(rng, dim):
+    """Random sampler of the given dimension; the counterexample law only for dim 1."""
+    kind = int(rng.integers(4 if dim == 1 else 3))
+    if kind == 0:
+        return DiscreteSampler(random_distribution(rng, dim))
+    if kind == 1:
+        return GaussianIso(dim, float(rng.uniform(0.1, 3.0)), rng.normal(size=dim))
+    if kind == 2:
+        lower = rng.normal(size=dim)
+        return UniformBox(lower, lower + rng.uniform(0.1, 3.0, size=dim))
+    c = float(rng.uniform(0.1, 4.0))
+    return CounterexampleSampler(CounterexampleParams(float(rng.uniform(2.1, 6.0)), c,
+                                                      c + float(rng.uniform(0.0, 50.0))))
 
 
 def random_sign_pattern(rng, half):

@@ -129,7 +129,7 @@ def test_criterion_6_variance_identity():
         dim = int(rng.integers(1, 4))
         psi = random_ndf_spec(rng, dim)
         law = random_distribution(rng, dim)
-        quad, gap = variance_identity(psi, law)
+        quad, gap = variance_identity(psi, law)[:2]
         ok = ok and abs(quad - gap) <= 1e-10 * max(1.0, abs(gap)) and quad >= -1e-10
     _verdict(6, "variance identity", ok)
 

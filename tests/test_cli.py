@@ -1,16 +1,110 @@
+import functools
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution
+from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution, variance_identity
 from ndflab import cli
 from ndflab.cli import ConfigError, _exact_check, main, run
+from ndflab.core import MAX_DEPTH, NDF, canonical_dumps, decode, json_schema, ndf_to_obj
+from ndflab.distributions import DISTRIBUTION, distribution_to_obj
+from ndflab.mc import SAMPLERS, sampler_to_obj
+from randgen import random_distribution, random_ndf_spec, random_sampler
 
 PSI_ABS = {"type": "euclidean_power", "alpha": 1, "dim": 1}
 PSI_SQUARE = {"type": "euclidean_power", "alpha": 2, "dim": 1}
 BERNOULLI = {"atoms": [[0], [1]], "weights": [0.5, 0.5]}
+GAUSS = {"type": "gaussian_iso", "dim": 1, "sigma": 1.0, "mean": [0.0]}
+# K = 4 x x' has rank one; eigvalsh puts its zero eigenvalues at -2.6e-15
+RANK_ONE_GRAM_AT_ZERO_TOLERANCE = {"psi": PSI_SQUARE, "points": [[1.0], [2.0], [3.0]], "tolerance": 0.0}
+
+
+# battery seed 2 j0119: a pure-quadratic triplet on a law at scale 1e4, so
+# E psi(X+Y) is about 1e8 and the identity's two sides differ by 2.9e-9
+QUADRATIC_AT_SCALE = {
+    "psi": {"type": "from_triplet", "dim": 2, "a": 0.0, "atoms": [],
+            "q": [[0.3276748674498686, 0.2712459310273133], [0.2712459310273133, 0.28166350442105076]]},
+    "distribution": {
+        "atoms": [[-6542.487549323719, 1170.1246003830438], [4720.575791246169, -1987.0071790137326],
+                  [665.1310664185676, 7064.0214849652175], [-319.8066441500732, -1922.9581499476376],
+                  [-91.39644017392766, 1193.7741253032527], [-6326.02165235132, -5168.565697741462],
+                  [11447.731121881316, -7179.6548676766]],
+        "weights": [0.18005898683519805, 0.11643993410303331, 0.2352976176272336, 0.05396189023791391,
+                    0.13514582596309044, 0.15154579195335788, 0.12754995328017274],
+    },
+}
+
+# (command, config, path of the field at fault) for configs the field tables reject
+NESTED_REJECTIONS = [
+    ("verify-inequality", {"psi": {**PSI_ABS, "dim": 1.9}, "distribution": BERNOULLI}, "psi/dim"),
+    ("verify-inequality", {"psi": {**PSI_ABS, "alpha": "1"}, "distribution": BERNOULLI}, "psi/alpha"),
+    ("verify-inequality", {"psi": {**PSI_ABS, "alpha": True}, "distribution": BERNOULLI}, "psi/alpha"),
+    ("verify-inequality", {"psi": {**PSI_ABS, "dimm": 1}, "distribution": BERNOULLI}, "psi/dimm"),
+    ("verify-inequality", {"psi": {"type": "subordinated", "f": {"type": "power", "beta": 0.5, "betta": 1},
+                                   "inner": PSI_ABS}, "distribution": BERNOULLI}, "psi/f/betta"),
+    ("verify-inequality", {"psi": PSI_ABS, "distribution": {**BERNOULLI, "weight": [1.0]}},
+     "distribution/weight"),
+    ("verify-inequality", {"psi": PSI_ABS, "sampler": {**GAUSS, "sd": 1.0}, "n_samples": 1000, "seed": 1},
+     "sampler/sd"),
+    ("verify-inequality", {"psi": PSI_ABS, "sampler": {**GAUSS, "dim": 1.5}, "n_samples": 1000, "seed": 1},
+     "sampler/dim"),
+    ("verify-inequality", {"psi": {"type": "conic_sum", "dim": 2, "terms": [[1.0, PSI_ABS]]},
+                           "distribution": BERNOULLI}, "psi"),
+    ("check-kernel", {"psi": {"type": "from_triplet", "q": [[1.0]], "atoms": [{"u": [1.0], "m": 1.0, "w": 2}]},
+                      "points": [[1.0]]}, "psi/atoms/0/w"),
+    ("verify-inequality", {"psi": PSI_ABS, "distribution": {"atoms": [["0"], [1]], "weights": [0.5, 0.5]}},
+     "distribution/atoms/0/0"),
+    ("check-kernel", {"psi": {"type": "from_triplet", "q": [["1"]]}, "points": [[1.0]]}, "psi/q/0/0"),
+    ("signed-sum", {"psi": PSI_ABS, "pattern": [1.5, -1.5], "distribution": BERNOULLI}, "pattern/0"),
+    ("verify-inequality", {"psi": PSI_ABS, "sampler": GAUSS, "seed": 3}, "n_samples"),
+]
+
+
+def subordinated_chain(depth):
+    psi = PSI_ABS
+    for _ in range(depth):
+        psi = {"type": "subordinated", "f": {"type": "log1p"}, "inner": psi}
+    return psi
+
+
+@functools.cache
+def schema_validator(command):
+    schema = json_schema(cli.COMMANDS[command])
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+@pytest.fixture(autouse=True)
+def schema_agrees_with_the_decoder(monkeypatch):
+    """Every config a test here hands to the CLI is checked against --schema too.
+
+    The generated schema must accept exactly the configs that pass
+    ``_validate``, except those nested past the depth cap, which JSON
+    Schema cannot state.
+    """
+    seen = []
+    validate = cli._validate
+
+    def recording(command, config):
+        try:
+            decoded = validate(command, config)
+        except ConfigError as exc:
+            if "nested deeper than" not in str(exc):
+                seen.append((command, config, False))
+            raise
+        seen.append((command, config, True))
+        return decoded
+
+    monkeypatch.setattr(cli, "_validate", recording)
+    yield
+    for command, config, accepted in seen:
+        assert schema_validator(command).is_valid(config) == accepted, (command, config)
 
 
 def write(tmp_path, name, obj):
@@ -123,6 +217,26 @@ class TestRun:
         with pytest.raises(ConfigError):
             run("counterexample", {"alpha": 1.5, "c": 1, "m": 10})  # alpha <= 2
 
+    def test_variance_identity_allows_the_rounding_of_the_pair_sums(self):
+        report = run("variance-identity", QUADRATIC_AT_SCALE)
+        results = report["results"]
+        assert report["passed"], results
+        assert results["abs_error"] > results["tolerance"] * max(1.0, abs(results["gap"]))
+        assert results["abs_error"] < results["rounding_tolerance"]
+
+    def test_variance_identity_still_flags_the_counterexample(self):
+        law = counterexample_distribution(CounterexampleParams(3.0, 1.0, 10.0))
+        quad, gap, e_plus, e_minus = variance_identity(RawAbsPower(3.0), law)
+        rounding = np.finfo(float).eps * law.n_atoms * (abs(e_plus) + abs(e_minus))
+        assert quad < -(1e-10 + rounding)
+        assert gap == e_plus - e_minus == pytest.approx(-21.88)
+
+    def test_integral_floats_count_as_integers(self):
+        config = {"psi": PSI_ABS, "sampler": GAUSS, "n_samples": 1000.0, "seed": 5.0}
+        report = run("verify-inequality", config)
+        assert report["results"]["n_samples"] == 1000 and report["results"]["seed"] == 5
+        assert report["csv"] == run("verify-inequality", {**config, "n_samples": 1000, "seed": 5})["csv"]
+
     def test_command_field_must_match(self):
         with pytest.raises(ConfigError):
             run("tail-identity", {"command": "check-kernel", "distribution": BERNOULLI})
@@ -203,11 +317,9 @@ class TestMain:
     def test_parser_is_built_once(self, tmp_path):
         assert cli._build_parser() is cli._build_parser()
         tail = write(tmp_path, "t.json", {"distribution": BERNOULLI})
-        zero_tol = write(tmp_path, "v.json", {
-            "psi": {"type": "euclidean_power", "alpha": 0.7, "dim": 1},
-            "distribution": {"atoms": [[0.1], [1.7]], "weights": [1 / 3, 2 / 3]}, "tolerance": 0.0})
+        zero_tol = write(tmp_path, "k.json", RANK_ONE_GRAM_AT_ZERO_TOLERANCE)
         assert main(["tail-identity", "--config", tail]) == 0
-        assert main(["variance-identity", "--config", zero_tol]) == 1
+        assert main(["check-kernel", "--config", zero_tol]) == 1
         assert main(["tail-identity", "--config", tail]) == 0
 
     def test_exit_2_float_overflow(self, tmp_path):
@@ -233,6 +345,26 @@ class TestMain:
         assert main(["verify-inequality", "--config", str(path)]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    def test_exit_2_past_the_depth_cap(self, tmp_path, capsys):
+        # deep enough for json.load, too deep for the decoder
+        config = {"psi": subordinated_chain(MAX_DEPTH + 50), "distribution": BERNOULLI}
+        cfg = write(tmp_path, "deep.json", config)
+        assert main(["verify-inequality", "--config", cfg]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: config field psi/inner/inner/")
+        assert err[0].endswith(f": nested deeper than {MAX_DEPTH} levels")
+
+    def test_chain_within_the_depth_cap_runs(self, tmp_path):
+        config = {"psi": subordinated_chain(MAX_DEPTH - 2), "distribution": BERNOULLI}
+        assert main(["verify-inequality", "--config", write(tmp_path, "deep.json", config)]) == 0
+
+    @pytest.mark.parametrize("command,config,path", NESTED_REJECTIONS)
+    def test_exit_2_names_the_nested_field(self, tmp_path, capsys, command, config, path):
+        assert main([command, "--config", write(tmp_path, "c.json", config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config field {path}: "), err
+
     def test_exit_3_on_internal_error(self, tmp_path, monkeypatch, capsys):
         def crash(config):
             raise RuntimeError("boom")
@@ -251,23 +383,23 @@ class TestMain:
         assert main(["counterexample", "--config", cfg]) == 2
 
     def test_exit_1_on_math_failure(self, tmp_path):
-        # zero tolerance turns the last-bit rounding mismatch between the
-        # quadratic form and the double sum into a reported failure
-        cfg = write(
-            tmp_path,
-            "v.json",
-            {
-                "psi": {"type": "euclidean_power", "alpha": 0.7, "dim": 1},
-                "distribution": {"atoms": [[0.1], [1.7]], "weights": [1 / 3, 2 / 3]},
-                "tolerance": 0.0,
-            },
-        )
-        assert main(["variance-identity", "--config", cfg]) == 1
+        # zero tolerance turns a zero eigenvalue that rounds below zero into
+        # a reported failure of the PSD check
+        cfg = write(tmp_path, "k.json", RANK_ONE_GRAM_AT_ZERO_TOLERANCE)
+        assert main(["check-kernel", "--config", cfg]) == 1
 
     def test_schema_flag(self, capsys):
         assert main(["simulate-bbm", "--schema"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["required"] == ["h", "k", "grid", "n_paths", "seed"]
+
+    def test_schema_describes_nested_specs(self, capsys):
+        assert main(["signed-sum", "--schema"]) == 0
+        schema = json.loads(capsys.readouterr().out)
+        assert schema["properties"]["psi"] == {"$ref": "#/$defs/ndf"}
+        tags = [v["properties"]["type"]["const"] for v in schema["$defs"]["ndf"]["oneOf"]]
+        assert tags == list(NDF.records)
+        assert set(schema["$defs"]) == {"ndf", "bernstein", "sampler"}
 
     def test_seed_and_samples_override(self, tmp_path):
         cfg = write(
@@ -319,3 +451,25 @@ class TestMain:
         assert main([command, "--config", cfg, "--out", str(out1)]) == 0
         assert main([command, "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestSchema:
+    def test_schema_and_decoder_agree_on_random_objects(self):
+        families = [(NDF, random_ndf_spec, ndf_to_obj),
+                    (DISTRIBUTION, random_distribution, distribution_to_obj),
+                    (SAMPLERS, random_sampler, sampler_to_obj)]
+        validators = [jsonschema.Draft202012Validator(json_schema(kind)) for kind, _, _ in families]
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            dim = int(rng.integers(1, 4))
+            for (kind, generate, to_obj), validator in zip(families, validators):
+                obj = to_obj(generate(rng, dim))
+                assert validator.is_valid(obj), obj
+                assert canonical_dumps(to_obj(decode(kind, obj))) == canonical_dumps(obj)
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import ndflab.cli; "
+                "print('jsonschema' in sys.modules)")
+        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
