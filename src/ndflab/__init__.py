@@ -25,8 +25,6 @@ from .core import (
     eval_psi_many,
     kernel_kpsi,
     metric_dpsi,
-    ndf_from_json,
-    ndf_to_json,
     subordinate,
 )
 from .distributions import (

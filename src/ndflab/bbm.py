@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import psd_tolerance
+
 __all__ = [
     "BbmParams",
     "GridPath",
@@ -111,7 +113,7 @@ def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> GridPa
         raise ValueError("need at least one path")
     cov = bbm_cov_matrix(params, g)
     eigvals, eigvecs = np.linalg.eigh(cov)
-    tol = 64.0 * np.finfo(float).eps * g.size * max(float(cov.diagonal().max()), 1.0)
+    tol = psd_tolerance(g.size, max(float(cov.diagonal().max()), 1.0))
     if eigvals.min() < -tol:
         raise ValueError(
             f"covariance indefinite (min eigenvalue {eigvals.min():.3e} < -{tol:.3e})"

@@ -29,7 +29,7 @@ from . import distributions as dist_mod
 from . import kernels as kernel_mod
 from . import mc as mc_mod
 from .core import (NDF, NONNEGATIVE, NUMBER, POINTS, POSITIVE, VECTOR, ConfigError, Record,
-                   canonical_dumps, decode, json_schema, ndf_from_obj, ndf_to_obj)
+                   canonical_dumps, decode, encode, json_schema)
 from .distributions import ALPHA_ABOVE_2, DISTRIBUTION
 from .mc import SAMPLERS
 
@@ -49,18 +49,15 @@ def _hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
 
 
-def _validate(command: str, config) -> dict:
-    """The config checked at every depth against the command's table, integers as int."""
-    return decode(COMMANDS[command], config, build=False)
-
-
 def _single_row_csv(columns: list[str], values: list) -> str:
     cells = [_fmt(v) if isinstance(v, float) else str(v) for v in values]
     return ",".join(columns) + "\n" + ",".join(cells) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results, passed, csv_text)
+# command handlers: each takes its config's fields, built, as keyword
+# arguments and returns (results, passed, csv_text); the optional
+# ``command`` field is checked by the table and ignored here
 # ---------------------------------------------------------------------------
 
 
@@ -89,23 +86,19 @@ _VERIFY_COLUMNS = ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_
 _SIGNED_COLUMNS = ["method", "e_signed", "e_allplus", "gap", "n_samples", "seed"]
 
 
-def _run_verify_inequality(config):
-    psi = ndf_from_obj(config["psi"])
-    psi_id = _hash(ndf_to_obj(psi))
-    if "distribution" in config:
-        dist = dist_mod.distribution_from_obj(config["distribution"])
-        results, passed = _exact_check(psi, dist, config.get("tolerance", 1e-10))
+def _run_verify_inequality(psi, distribution=None, sampler=None, n_samples=None, seed=None,
+                           z_threshold=5.0, tolerance=1e-10, command=None):
+    psi_id = _hash(encode(NDF, psi))
+    if distribution is not None:
+        results, passed = _exact_check(psi, distribution, tolerance)
         csv_text = _single_row_csv(
             _VERIFY_COLUMNS,
-            [psi_id, _hash(config["distribution"]), results["e_minus"], results["e_plus"],
+            [psi_id, _hash(encode(DISTRIBUTION, distribution)), results["e_minus"], results["e_plus"],
              results["gap"], "exact", 0, 0.0, ""],
         )
         return results, passed, csv_text
-    sampler = mc_mod.sampler_from_obj(config["sampler"])
-    n = config["n_samples"]
-    seed = mc_mod.parse_seed(config["seed"])
-    z_threshold = config.get("z_threshold", 5.0)
-    verdict = mc_mod.mc_inequality_verdict(psi, sampler, n, seed, z_threshold)
+    seed = mc_mod.parse_seed(seed)
+    verdict = mc_mod.mc_inequality_verdict(psi, sampler, n_samples, seed, z_threshold)
     gap = verdict.est_plus.mean - verdict.est_minus.mean
     stderr = float(np.hypot(verdict.est_minus.stderr, verdict.est_plus.stderr))
     passed = verdict.kind != mc_mod.VIOLATION
@@ -118,23 +111,21 @@ def _run_verify_inequality(config):
         "stderr_plus": verdict.est_plus.stderr,
         "z_score": verdict.z_score if np.isfinite(verdict.z_score) else None,
         "verdict": verdict.kind,
-        "n_samples": n,
+        "n_samples": n_samples,
         "seed": seed,
         "z_threshold": z_threshold,
     }
     csv_text = _single_row_csv(
         _VERIFY_COLUMNS,
-        [psi_id, _hash(config["sampler"]), verdict.est_minus.mean, verdict.est_plus.mean,
-         gap, "monte_carlo", n, stderr, seed],
+        [psi_id, _hash(encode(SAMPLERS, sampler)), verdict.est_minus.mean, verdict.est_plus.mean,
+         gap, "monte_carlo", n_samples, stderr, seed],
     )
     return results, passed, csv_text
 
 
-def _run_check_kernel(config):
-    psi = ndf_from_obj(config["psi"])
-    points = np.asarray(config["points"], dtype=float)
-    mat = kernel_mod.gram_matrix(psi, points)
-    result = kernel_mod.psd_check(mat, config.get("tolerance"))
+def _run_check_kernel(psi, points, tolerance=None, command=None):
+    mat = kernel_mod.gram_matrix(psi, np.asarray(points, dtype=float))
+    result = kernel_mod.psd_check(mat, tolerance)
     results = {
         "n_points": int(mat.shape[0]),
         "min_eigenvalue": result.min_eigenvalue,
@@ -144,26 +135,22 @@ def _run_check_kernel(config):
     return results, result.psd, kernel_mod.gram_to_csv(mat)
 
 
-def _run_variance_identity(config):
-    psi = ndf_from_obj(config["psi"])
-    dist = dist_mod.distribution_from_obj(config["distribution"])
-    tol = config.get("tolerance", 1e-10)
-    quad, gap, e_plus, e_minus = kernel_mod.variance_identity(psi, dist)
+def _run_variance_identity(psi, distribution, tolerance=1e-10, command=None):
+    quad, gap, e_plus, e_minus = kernel_mod.variance_identity(psi, distribution)
     err = abs(quad - gap)
-    rounding = _rounding(dist, e_plus, e_minus)
-    passed = err <= tol * max(1.0, abs(gap)) + rounding and quad >= -(tol + rounding)
-    results = {"quadratic_form": quad, "gap": gap, "abs_error": err, "tolerance": tol,
+    rounding = _rounding(distribution, e_plus, e_minus)
+    passed = err <= tolerance * max(1.0, abs(gap)) + rounding and quad >= -(tolerance + rounding)
+    results = {"quadratic_form": quad, "gap": gap, "abs_error": err, "tolerance": tolerance,
                "rounding_tolerance": rounding}
     csv_text = _single_row_csv(
-        ["quadratic_form", "gap", "abs_error", "tolerance"], [quad, gap, err, tol]
+        ["quadratic_form", "gap", "abs_error", "tolerance"], [quad, gap, err, tolerance]
     )
     return results, passed, csv_text
 
 
-def _run_counterexample(config):
-    alpha, c = config["alpha"], config["c"]
-    if "m" in config:
-        params = dist_mod.CounterexampleParams(alpha, c, config["m"])
+def _run_counterexample(alpha, c, m=None, m_grid=None, command=None):
+    if m is not None:
+        params = dist_mod.CounterexampleParams(alpha, c, m)
         gap = dist_mod.counterexample_gap_closed_form(params)
         law = dist_mod.counterexample_distribution(params)
         probe = dist_mod.RawAbsPower(alpha)
@@ -183,7 +170,7 @@ def _run_counterexample(config):
             [float(alpha), float(c), params.m, gap, oracle, gap > 0],
         )
         return results, agree, csv_text
-    found = dist_mod.counterexample_search(alpha, c, config["m_grid"])
+    found = dist_mod.counterexample_search(alpha, c, m_grid)
     results = {
         "alpha": alpha,
         "c": c,
@@ -196,20 +183,18 @@ def _run_counterexample(config):
     return results, True, csv_text
 
 
-def _run_tail_identity(config):
-    dist = dist_mod.distribution_from_obj(config["distribution"])
-    tol = config.get("tolerance", 1e-12)
-    lhs, rhs = dist_mod.tail_identity_check(dist)
-    passed = abs(lhs - rhs) <= tol * max(1.0, abs(lhs)) and rhs >= -tol
-    results = {"lhs": lhs, "rhs": rhs, "abs_error": abs(lhs - rhs), "tolerance": tol}
+def _run_tail_identity(distribution, tolerance=1e-12, command=None):
+    lhs, rhs = dist_mod.tail_identity_check(distribution)
+    passed = abs(lhs - rhs) <= tolerance * max(1.0, abs(lhs)) and rhs >= -tolerance
+    results = {"lhs": lhs, "rhs": rhs, "abs_error": abs(lhs - rhs), "tolerance": tolerance}
     csv_text = _single_row_csv(["lhs", "rhs", "abs_error"], [lhs, rhs, abs(lhs - rhs)])
     return results, passed, csv_text
 
 
-def _run_simulate_bbm(config):
-    params = bbm_mod.BbmParams(config["h"], config["k"])
-    seed = mc_mod.parse_seed(config["seed"])
-    paths = bbm_mod.bbm_sample_paths(params, config["grid"], config["n_paths"], seed)
+def _run_simulate_bbm(h, k, grid, n_paths, seed, command=None):
+    params = bbm_mod.BbmParams(h, k)
+    seed = mc_mod.parse_seed(seed)
+    paths = bbm_mod.bbm_sample_paths(params, grid, n_paths, seed)
     results = {
         "h": params.h,
         "k": params.k,
@@ -220,35 +205,32 @@ def _run_simulate_bbm(config):
     return results, True, bbm_mod.paths_to_csv(paths)
 
 
-def _run_signed_sum(config):
-    psi = ndf_from_obj(config["psi"])
-    pattern = dist_mod.SignPattern(tuple(config["pattern"]))
-    if "distribution" in config:
-        dist = dist_mod.distribution_from_obj(config["distribution"])
+def _run_signed_sum(psi, pattern, distribution=None, sampler=None, n_samples=None, seed=None,
+                    tolerance=1e-10, command=None):
+    pattern = dist_mod.SignPattern(tuple(pattern))
+    if distribution is not None:
         # sum_j eps_j X_j = S - S' and sum_j X_j = S + S' for S, S' ~ dist^{*m}
         try:
-            law = dist_mod.convolution_power(dist, len(pattern) // 2)
+            law = dist_mod.convolution_power(distribution, len(pattern) // 2)
         except dist_mod.EnumerationLimitError:
-            if "n_samples" not in config or "seed" not in config:
+            if n_samples is None or seed is None:
                 raise ConfigError(
                     "exact sum too large; supply n_samples and seed for Monte Carlo"
                 )
-            return _signed_sum_mc(psi, mc_mod.DiscreteSampler(dist), pattern, config)
-        tol = config.get("tolerance", 1e-10)
-        results, passed = _exact_check(psi, law, tol, ("e_signed", "e_allplus"))
+            sampler = mc_mod.DiscreteSampler(distribution)
+            return _signed_sum_mc(psi, sampler, pattern, n_samples, seed)
+        results, passed = _exact_check(psi, law, tolerance, ("e_signed", "e_allplus"))
         csv_text = _single_row_csv(
             _SIGNED_COLUMNS,
             ["exact", results["e_signed"], results["e_allplus"], results["gap"], 0, ""],
         )
         return results, passed, csv_text
-    sampler = mc_mod.sampler_from_obj(config["sampler"])
-    return _signed_sum_mc(psi, sampler, pattern, config)
+    return _signed_sum_mc(psi, sampler, pattern, n_samples, seed)
 
 
-def _signed_sum_mc(psi, sampler, pattern, config):
-    n = config["n_samples"]
-    seed = mc_mod.parse_seed(config["seed"])
-    est_signed, est_plus = mc_mod.mc_signed_sum(psi, sampler, pattern, n, seed)
+def _signed_sum_mc(psi, sampler, pattern, n_samples, seed):
+    seed = mc_mod.parse_seed(seed)
+    est_signed, est_plus = mc_mod.mc_signed_sum(psi, sampler, pattern, n_samples, seed)
     gap = est_plus.mean - est_signed.mean
     stderr = float(np.hypot(est_signed.stderr, est_plus.stderr))
     # flag only a statistically significant violation of the signed-sum bound
@@ -259,12 +241,12 @@ def _signed_sum_mc(psi, sampler, pattern, config):
         "e_allplus": est_plus.mean,
         "gap": gap,
         "stderr": stderr,
-        "n_samples": n,
+        "n_samples": n_samples,
         "seed": seed,
     }
     csv_text = _single_row_csv(
         _SIGNED_COLUMNS,
-        ["monte_carlo", est_signed.mean, est_plus.mean, gap, n, seed],
+        ["monte_carlo", est_signed.mean, est_plus.mean, gap, n_samples, seed],
     )
     return results, passed, csv_text
 
@@ -299,12 +281,11 @@ COMMANDS = {
 }
 for _name, _record in COMMANDS.items():
     _record.fields["command"] = {"type": "string", "const": _name}  # a config may name its command
-_HANDLERS = {name: record.build for name, record in COMMANDS.items()}
 
 
 def run(command: str, config: dict) -> dict:
-    """Validate and execute one experiment config; returns the report dict."""
-    results, passed, csv_text = _HANDLERS[command](_validate(command, config))
+    """Decode one experiment config, which runs its command; returns the report dict."""
+    results, passed, csv_text = decode(COMMANDS[command], config)
     return {
         "command": command,
         "config_hash": _hash(config),

@@ -44,14 +44,6 @@ __all__ = [
     "metric_dpsi",
     "kernel_kpsi",
     "psd_tolerance",
-    "bernstein_to_obj",
-    "bernstein_from_obj",
-    "ndf_to_obj",
-    "ndf_from_obj",
-    "ndf_to_json",
-    "ndf_from_json",
-    "bernstein_to_json",
-    "bernstein_from_json",
     "canonical_dumps",
 ]
 
@@ -104,9 +96,6 @@ class BernsteinSpec:
 
     def value_at_zero(self) -> float:
         raise NotImplementedError
-
-    def to_obj(self) -> dict:
-        return encode(BERNSTEIN, self)
 
 
 @dataclass(frozen=True)
@@ -241,9 +230,6 @@ class NdfSpec:
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, dim) batch; returns an (N,) array."""
         raise NotImplementedError
-
-    def to_obj(self) -> dict:
-        return encode(NDF, self)
 
 
 @dataclass(frozen=True)
@@ -478,19 +464,20 @@ def _json_type(value) -> str:
 _BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt, "maximum": operator.le}
 
 
-def decode(kind, value, path: tuple = (), build: bool = True, depth: int = 0):
-    """Check ``value`` against ``kind`` at every depth and return it decoded.
+def decode(kind, value, path: tuple = (), depth: int = 0):
+    """Check ``value`` against ``kind`` at every depth and return it built.
 
     Values of integer kinds come back as int, and records built by their
-    constructors, or as dicts of their decoded fields when ``build`` is
-    false.  A misfit, or nesting past MAX_DEPTH, raises ConfigError naming
-    the path of the field at fault.
+    constructors.  A misfit, or nesting past MAX_DEPTH, raises ConfigError
+    naming the path of the field at fault; a constructor's ValueError is
+    raised as a ConfigError naming its record's path, with the error as
+    its ``__cause__``.
     """
     actual = _json_type(value)
     if actual in ("array", "object") and depth >= MAX_DEPTH:
         raise _error(path, f"nested deeper than {MAX_DEPTH} levels")
     if isinstance(kind, (Record, Family)):
-        return _decode_object(kind, value, actual, path, build, depth)
+        return _decode_object(kind, value, actual, path, depth)
     allowed = kind["type"] if isinstance(kind["type"], list) else [kind["type"]]
     if actual not in allowed and not (actual == "integer" and "number" in allowed):
         raise _error(path, f"expected {' or '.join(allowed)}, got {actual}")
@@ -502,7 +489,7 @@ def decode(kind, value, path: tuple = (), build: bool = True, depth: int = 0):
             raise _error(path, f"expected at most {len(kinds)} items, got {len(value)}")
         if kind.get("items") is NUMBER and all(type(v) is float or type(v) is int for v in value):
             return value  # a plain vector, checked in one pass
-        return [decode(k, v, path + (i,), build, depth + 1) for i, (k, v) in enumerate(zip(kinds, value))]
+        return [decode(k, v, path + (i,), depth + 1) for i, (k, v) in enumerate(zip(kinds, value))]
     if actual == "string":
         if value != kind.get("const", value):
             raise _error(path, f"expected {kind['const']!r}, got {value!r}")
@@ -517,15 +504,15 @@ def decode(kind, value, path: tuple = (), build: bool = True, depth: int = 0):
     return int(value) if actual == "integer" and "integer" in allowed else value
 
 
-def _decode_object(kind, obj, actual, path, build, depth):
+def _decode_object(kind, obj, actual, path, depth):
     if actual != "object":
         raise _error(path, f"expected object, got {actual}")
-    record, given, tag = kind, dict(obj), {}
+    record, given = kind, dict(obj)
     if isinstance(kind, Family):
-        tag = {"type": given.pop("type", None)}
-        record = kind.records.get(tag["type"]) if isinstance(tag["type"], str) else None
+        tag = given.pop("type", None)
+        record = kind.records.get(tag) if isinstance(tag, str) else None
         if record is None:
-            raise _error(path + ("type",), f"expected one of {list(kind.records)}, got {tag['type']!r}")
+            raise _error(path + ("type",), f"expected one of {list(kind.records)}, got {tag!r}")
     unknown = [name for name in given if name not in record.fields]
     needed = (need for name, needs in record.needs.items() if name in given for need in needs)
     missing = [name for name in (*record.required, *needed) if name not in given]
@@ -533,10 +520,8 @@ def _decode_object(kind, obj, actual, path, build, depth):
         raise _error(path + ((unknown or missing)[0],), "unknown field" if unknown else "missing field")
     if record.one_of and sum(name in given for name in record.one_of) != 1:
         raise _error(path, f"expected exactly one of the fields {' and '.join(record.one_of)}")
-    fields = {name: decode(record.fields[name], value, path + (name,), build, depth + 1)
+    fields = {name: decode(record.fields[name], value, path + (name,), depth + 1)
               for name, value in given.items()}
-    if not build:
-        return {**tag, **fields}
     try:
         built = record.build(**fields)
         if "dim" in fields and fields["dim"] != built.dim:
@@ -598,35 +583,3 @@ def json_schema(kind) -> dict:
 def canonical_dumps(obj) -> str:
     """Deterministic JSON serialisation: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def bernstein_to_obj(f: BernsteinSpec) -> dict:
-    return f.to_obj()
-
-
-def bernstein_from_obj(obj: dict) -> BernsteinSpec:
-    return decode(BERNSTEIN, obj, ("f",))
-
-
-def ndf_to_obj(psi: NdfSpec) -> dict:
-    return psi.to_obj()
-
-
-def ndf_from_obj(obj: dict) -> NdfSpec:
-    return decode(NDF, obj, ("psi",))
-
-
-def ndf_to_json(psi: NdfSpec) -> str:
-    return canonical_dumps(ndf_to_obj(psi))
-
-
-def ndf_from_json(s: str) -> NdfSpec:
-    return ndf_from_obj(json.loads(s))
-
-
-def bernstein_to_json(f: BernsteinSpec) -> str:
-    return canonical_dumps(bernstein_to_obj(f))
-
-
-def bernstein_from_json(s: str) -> BernsteinSpec:
-    return bernstein_from_obj(json.loads(s))

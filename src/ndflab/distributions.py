@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import POINTS, VECTOR, DimensionMismatch, Record, decode, encode
+from .core import POINTS, VECTOR, DimensionMismatch, EuclideanPower, Record
 
 __all__ = [
     "DiscreteDistribution",
@@ -32,8 +32,6 @@ __all__ = [
     "counterexample_search",
     "tail_identity_check",
     "ess_bounds_check",
-    "distribution_to_obj",
-    "distribution_from_obj",
     "ENUMERATION_LIMIT",
 ]
 
@@ -171,9 +169,7 @@ class RawAbsPower:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    def eval_many(self, pts):
-        sq = np.einsum("ni,ni->n", pts, pts)
-        return np.power(sq, 0.5 * self.alpha, out=sq)
+    eval_many = EuclideanPower.eval_many  # the same ||xi||_2**alpha, for any alpha
 
 
 def _check_dims(psi, dist: DiscreteDistribution):
@@ -281,11 +277,17 @@ def counterexample_gap_closed_form(params: CounterexampleParams) -> float:
     """
     if params.m < 1.0:
         raise ValueError("the closed form assumes M >= 1")
-    a, p, q, m = params.alpha, params.p, params.q, params.m
+    return _counterexample_gap(params.alpha, params.c, params.m)
+
+
+def _counterexample_gap(alpha, c, m):
+    """The closed-form gap at M = m, a Python float or an array of them."""
+    q = c / m
+    p = 1.0 - q
     return (
-        2.0 * p * q * ((m + 1.0) ** a - (m - 1.0) ** a)
-        - 2.0**a * m**a * q**2
-        - 2.0**a * p**2
+        2.0 * p * q * ((m + 1.0) ** alpha - (m - 1.0) ** alpha)
+        - 2.0**alpha * m**alpha * q**2
+        - 2.0**alpha * p**2
     )
 
 
@@ -306,14 +308,7 @@ def counterexample_search(alpha: float, c: float, m_grid) -> float | None:
         raise ValueError("M grid must be strictly increasing")
     if grid[0] < max(c, 1.0):
         raise ValueError("all grid entries must be >= max(c, 1)")
-    q = c / grid
-    p = 1.0 - q
-    gaps = (
-        2.0 * p * q * ((grid + 1.0) ** alpha - (grid - 1.0) ** alpha)
-        - 2.0**alpha * grid**alpha * q**2
-        - 2.0**alpha * p**2
-    )
-    hits = np.nonzero(gaps > 0)[0]
+    hits = np.nonzero(_counterexample_gap(alpha, c, grid) > 0)[0]
     if hits.size == 0:
         return None
     return float(grid[hits[0]])
@@ -366,11 +361,3 @@ DISTRIBUTION = Record(DiscreteDistribution, {"atoms": POINTS, "weights": VECTOR}
                       ("atoms", "weights"))
 
 ALPHA_ABOVE_2 = {"type": "number", "exclusiveMinimum": 2}  # the counterexample family's alpha
-
-
-def distribution_to_obj(dist: DiscreteDistribution) -> dict:
-    return encode(DISTRIBUTION, dist)
-
-
-def distribution_from_obj(obj: dict) -> DiscreteDistribution:
-    return decode(DISTRIBUTION, obj, ("distribution",))

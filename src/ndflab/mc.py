@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DIM, NUMBER, POSITIVE, VECTOR, DimensionMismatch, Family, Record, as_point, decode,
-                   encode)
+from .core import DIM, NUMBER, POSITIVE, VECTOR, DimensionMismatch, Family, Record, as_point
 from .distributions import (
     ALPHA_ABOVE_2,
     DISTRIBUTION,
@@ -52,8 +51,6 @@ __all__ = [
     "mc_inequality_verdict",
     "mc_signed_sum",
     "parse_seed",
-    "sampler_to_obj",
-    "sampler_from_obj",
 ]
 
 _CHUNK = 1 << 16
@@ -70,9 +67,6 @@ class SamplerSpec:
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
-
-    def to_obj(self) -> dict:
-        return encode(SAMPLERS, self)
 
 
 @dataclass(frozen=True)
@@ -306,10 +300,6 @@ def mc_signed_sum(psi, spec: SamplerSpec, pattern: SignPattern, n_samples: int, 
 # ---------------------------------------------------------------------------
 
 
-def sampler_to_obj(spec: SamplerSpec) -> dict:
-    return spec.to_obj()
-
-
 SAMPLERS = Family("sampler", {
     "discrete": Record(DiscreteSampler, {"distribution": DISTRIBUTION}, ("distribution",)),
     "gaussian_iso": Record(GaussianIso, {"dim": DIM, "sigma": POSITIVE, "mean": VECTOR},
@@ -321,7 +311,3 @@ SAMPLERS = Family("sampler", {
         cls=CounterexampleSampler, read=lambda spec: {
             "alpha": spec.params.alpha, "c": spec.params.c, "m": spec.params.m}),
 })
-
-
-def sampler_from_obj(obj: dict) -> SamplerSpec:
-    return decode(SAMPLERS, obj, ("sampler",))

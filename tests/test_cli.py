@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import subprocess
@@ -12,9 +13,9 @@ import pytest
 from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution, variance_identity
 from ndflab import cli
 from ndflab.cli import ConfigError, _exact_check, main, run
-from ndflab.core import MAX_DEPTH, NDF, canonical_dumps, decode, json_schema, ndf_to_obj
-from ndflab.distributions import DISTRIBUTION, distribution_to_obj
-from ndflab.mc import SAMPLERS, sampler_to_obj
+from ndflab.core import MAX_DEPTH, NDF, canonical_dumps, decode, encode, json_schema
+from ndflab.distributions import DISTRIBUTION
+from ndflab.mc import SAMPLERS
 from randgen import random_distribution, random_ndf_spec, random_sampler
 
 PSI_ABS = {"type": "euclidean_power", "alpha": 1, "dim": 1}
@@ -63,6 +64,10 @@ NESTED_REJECTIONS = [
     ("check-kernel", {"psi": {"type": "from_triplet", "q": [["1"]]}, "points": [[1.0]]}, "psi/q/0/0"),
     ("signed-sum", {"psi": PSI_ABS, "pattern": [1.5, -1.5], "distribution": BERNOULLI}, "pattern/0"),
     ("verify-inequality", {"psi": PSI_ABS, "sampler": GAUSS, "seed": 3}, "n_samples"),
+    # invariants across fields, checked by the objects a handler builds
+    ("signed-sum", {"psi": PSI_ABS, "pattern": [1, 1], "distribution": BERNOULLI}, "<root>"),
+    ("counterexample", {"alpha": 3, "c": 5, "m": 2}, "<root>"),
+    ("simulate-bbm", {"h": 0.9, "k": 2, "grid": [0.5, 1.0], "n_paths": 2, "seed": 1}, "<root>"),
 ]
 
 
@@ -84,24 +89,29 @@ def schema_validator(command):
 def schema_agrees_with_the_decoder(monkeypatch):
     """Every config a test here hands to the CLI is checked against --schema too.
 
-    The generated schema must accept exactly the configs that pass
-    ``_validate``, except those nested past the depth cap, which JSON
-    Schema cannot state.
+    The generated schema must accept exactly the configs that the command
+    tables accept.  JSON Schema cannot state two of the decoder's checks,
+    so configs they reject are exempt: the depth cap, and the errors of
+    a constructor or handler (a ConfigError whose ``__cause__`` is set).
     """
     seen = []
-    validate = cli._validate
+    decode_config = cli.decode
 
-    def recording(command, config):
+    def recording(kind, config):
+        command = next(name for name, record in cli.COMMANDS.items() if record is kind)
         try:
-            decoded = validate(command, config)
+            built = decode_config(kind, config)
         except ConfigError as exc:
-            if "nested deeper than" not in str(exc):
+            if exc.__cause__ is None and "nested deeper than" not in str(exc):
                 seen.append((command, config, False))
             raise
+        except Exception:
+            seen.append((command, config, True))  # the tables accepted it; its handler failed
+            raise
         seen.append((command, config, True))
-        return decoded
+        return built
 
-    monkeypatch.setattr(cli, "_validate", recording)
+    monkeypatch.setattr(cli, "decode", recording)
     yield
     for command, config, accepted in seen:
         assert schema_validator(command).is_valid(config) == accepted, (command, config)
@@ -237,6 +247,13 @@ class TestRun:
         assert report["results"]["n_samples"] == 1000 and report["results"]["seed"] == 5
         assert report["csv"] == run("verify-inequality", {**config, "n_samples": 1000, "seed": 5})["csv"]
 
+    def test_law_id_hashes_the_law_as_built(self):
+        # coincident atoms merge at construction, and integer literals become floats
+        split = {"atoms": [[0.0], [1.0], [0.0]], "weights": [0.25, 0.5, 0.25]}
+        rows = [run("verify-inequality", {"psi": PSI_ABS, "distribution": law})["csv"].splitlines()[1]
+                for law in (BERNOULLI, split)]
+        assert rows[0] == rows[1]
+
     def test_command_field_must_match(self):
         with pytest.raises(ConfigError):
             run("tail-identity", {"command": "check-kernel", "distribution": BERNOULLI})
@@ -366,10 +383,11 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith(f"error: config field {path}: "), err
 
     def test_exit_3_on_internal_error(self, tmp_path, monkeypatch, capsys):
-        def crash(config):
+        def crash(**fields):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "counterexample", crash)
+        record = dataclasses.replace(cli.COMMANDS["counterexample"], build=crash)
+        monkeypatch.setitem(cli.COMMANDS, "counterexample", record)
         cfg = write(tmp_path, "c.json", {"alpha": 3, "c": 1, "m": 10})
         assert main(["counterexample", "--config", cfg]) == 3
         assert capsys.readouterr().err.strip().splitlines()[-1] == "internal error: RuntimeError: boom"
@@ -455,17 +473,15 @@ class TestMain:
 
 class TestSchema:
     def test_schema_and_decoder_agree_on_random_objects(self):
-        families = [(NDF, random_ndf_spec, ndf_to_obj),
-                    (DISTRIBUTION, random_distribution, distribution_to_obj),
-                    (SAMPLERS, random_sampler, sampler_to_obj)]
-        validators = [jsonschema.Draft202012Validator(json_schema(kind)) for kind, _, _ in families]
+        families = [(NDF, random_ndf_spec), (DISTRIBUTION, random_distribution), (SAMPLERS, random_sampler)]
+        validators = [jsonschema.Draft202012Validator(json_schema(kind)) for kind, _ in families]
         rng = np.random.default_rng(22)
         for _ in range(200):
             dim = int(rng.integers(1, 4))
-            for (kind, generate, to_obj), validator in zip(families, validators):
-                obj = to_obj(generate(rng, dim))
+            for (kind, generate), validator in zip(families, validators):
+                obj = encode(kind, generate(rng, dim))
                 assert validator.is_valid(obj), obj
-                assert canonical_dumps(to_obj(decode(kind, obj))) == canonical_dumps(obj)
+                assert canonical_dumps(encode(kind, decode(kind, obj))) == canonical_dumps(obj)
 
     def test_cli_import_leaves_jsonschema_out(self):
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -26,7 +26,8 @@ from ndflab import (
     exact_signed_sum_gap,
     tail_identity_check,
 )
-from ndflab.distributions import _pair_values, distribution_from_obj, distribution_to_obj
+from ndflab.core import decode, encode
+from ndflab.distributions import DISTRIBUTION, _pair_values
 from randgen import random_distribution, random_ndf_spec, random_sign_pattern
 
 ABS1 = EuclideanPower(1.0, 1)
@@ -286,7 +287,7 @@ class TestDistributionType:
     def test_json_round_trip(self):
         rng = np.random.default_rng(24)
         p = random_distribution(rng, 2)
-        q = distribution_from_obj(distribution_to_obj(p))
+        q = decode(DISTRIBUTION, encode(DISTRIBUTION, p))
         np.testing.assert_array_equal(p.atoms, q.atoms)
         np.testing.assert_array_equal(p.weights, q.weights)
 

@@ -25,14 +25,14 @@ from ndflab import (
     sample,
 )
 from ndflab.cli import _exact_check
+from ndflab.core import decode, encode
 from ndflab.mc import (
     _CHUNK,
     CONSISTENT,
     INCONCLUSIVE,
+    SAMPLERS,
     VIOLATION,
     parse_seed,
-    sampler_from_obj,
-    sampler_to_obj,
 )
 from randgen import random_distribution, random_ndf_spec
 
@@ -185,7 +185,7 @@ class TestPlumbing:
             DiscreteSampler(DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))),
         ]
         for spec in specs:
-            clone = sampler_from_obj(sampler_to_obj(spec))
+            clone = decode(SAMPLERS, encode(SAMPLERS, spec))
             np.testing.assert_array_equal(sample(spec, 3, 100), sample(clone, 3, 100))
 
     def test_estimate_stderr_definition(self):
