@@ -54,6 +54,7 @@ from .bbm import (
     kernel_bbm_identity_gap,
 )
 from .mc import (
+    ConvolutionSampler,
     CounterexampleSampler,
     DiscreteSampler,
     GaussianIso,

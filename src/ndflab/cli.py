@@ -6,7 +6,9 @@ Usage:
     ndf-lab <command> --schema
 
 Commands: verify-inequality, check-kernel, variance-identity,
-counterexample, tail-identity, simulate-bbm, signed-sum.
+counterexample, tail-identity, simulate-bbm, signed-sum.  --seed and
+--samples override the config fields seed and n_samples, on the commands
+that have them: both on verify-inequality and signed-sum, --seed on simulate-bbm.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 2 = usage, config or input-range error, 3 = internal error.  Reports
@@ -82,44 +84,42 @@ def _exact_check(psi, law, tolerance: float, names=("e_minus", "e_plus")):
     return results, gap >= -(tolerance + rounding)
 
 
-_VERIFY_COLUMNS = ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"]
-_SIGNED_COLUMNS = ["method", "e_signed", "e_allplus", "gap", "n_samples", "seed"]
-
-
-def _run_verify_inequality(psi, distribution=None, sampler=None, n_samples=None, seed=None,
-                           z_threshold=5.0, tolerance=1e-10, command=None):
-    psi_id = _hash(encode(NDF, psi))
-    if distribution is not None:
-        results, passed = _exact_check(psi, distribution, tolerance)
-        csv_text = _single_row_csv(
-            _VERIFY_COLUMNS,
-            [psi_id, _hash(encode(DISTRIBUTION, distribution)), results["e_minus"], results["e_plus"],
-             results["gap"], "exact", 0, 0.0, ""],
-        )
-        return results, passed, csv_text
+def _mc_check(psi, sampler, n_samples, seed, z_threshold=5.0, names=("e_minus", "e_plus")):
+    """(results, passed) for E psi(X-Y) <= E psi(X+Y) by the paired z-test on shared draws."""
     seed = mc_mod.parse_seed(seed)
     verdict = mc_mod.mc_inequality_verdict(psi, sampler, n_samples, seed, z_threshold)
-    gap = verdict.est_plus.mean - verdict.est_minus.mean
-    stderr = float(np.hypot(verdict.est_minus.stderr, verdict.est_plus.stderr))
-    passed = verdict.kind != mc_mod.VIOLATION
+    estimates = dict(zip(names, (verdict.est_minus, verdict.est_plus)))
     results = {
         "method": "monte_carlo",
-        "e_minus": verdict.est_minus.mean,
-        "e_plus": verdict.est_plus.mean,
-        "gap": gap,
-        "stderr_minus": verdict.est_minus.stderr,
-        "stderr_plus": verdict.est_plus.stderr,
+        **{name: est.mean for name, est in estimates.items()},
+        "gap": verdict.est_plus.mean - verdict.est_minus.mean,
+        **{"stderr" + name[1:]: est.stderr for name, est in estimates.items()},
         "z_score": verdict.z_score if np.isfinite(verdict.z_score) else None,
         "verdict": verdict.kind,
         "n_samples": n_samples,
         "seed": seed,
         "z_threshold": z_threshold,
     }
-    csv_text = _single_row_csv(
-        _VERIFY_COLUMNS,
-        [psi_id, _hash(encode(SAMPLERS, sampler)), verdict.est_minus.mean, verdict.est_plus.mean,
-         gap, "monte_carlo", n_samples, stderr, seed],
-    )
+    return results, verdict.kind != mc_mod.VIOLATION
+
+
+_VERIFY_COLUMNS = ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"]
+_SIGNED_NAMES = ("e_signed", "e_allplus")
+_SIGNED_COLUMNS = ["method", *_SIGNED_NAMES, "gap", "n_samples", "seed"]
+
+
+def _run_verify_inequality(psi, distribution=None, sampler=None, n_samples=None, seed=None,
+                           z_threshold=5.0, tolerance=1e-10, command=None):
+    if distribution is not None:
+        results, passed = _exact_check(psi, distribution, tolerance)
+        law_id, tail = _hash(encode(DISTRIBUTION, distribution)), [0, 0.0, ""]
+    else:
+        results, passed = _mc_check(psi, sampler, n_samples, seed, z_threshold)
+        law_id = _hash(encode(SAMPLERS, sampler))
+        tail = [n_samples, float(np.hypot(results["stderr_minus"], results["stderr_plus"])), results["seed"]]
+    csv_text = _single_row_csv(_VERIFY_COLUMNS, [
+        _hash(encode(NDF, psi)), law_id, results["e_minus"], results["e_plus"], results["gap"],
+        results["method"], *tail])
     return results, passed, csv_text
 
 
@@ -207,48 +207,24 @@ def _run_simulate_bbm(h, k, grid, n_paths, seed, command=None):
 
 def _run_signed_sum(psi, pattern, distribution=None, sampler=None, n_samples=None, seed=None,
                     tolerance=1e-10, command=None):
-    pattern = dist_mod.SignPattern(tuple(pattern))
+    # sum_j eps_j X_j = S - S' and sum_j X_j = S + S' for S, S' i.i.d. sums of m copies of X
+    m = len(dist_mod.SignPattern(tuple(pattern))) // 2
     if distribution is not None:
-        # sum_j eps_j X_j = S - S' and sum_j X_j = S + S' for S, S' ~ dist^{*m}
         try:
-            law = dist_mod.convolution_power(distribution, len(pattern) // 2)
+            law = dist_mod.convolution_power(distribution, m)
         except dist_mod.EnumerationLimitError:
             if n_samples is None or seed is None:
                 raise ConfigError(
                     "exact sum too large; supply n_samples and seed for Monte Carlo"
                 )
             sampler = mc_mod.DiscreteSampler(distribution)
-            return _signed_sum_mc(psi, sampler, pattern, n_samples, seed)
-        results, passed = _exact_check(psi, law, tolerance, ("e_signed", "e_allplus"))
-        csv_text = _single_row_csv(
-            _SIGNED_COLUMNS,
-            ["exact", results["e_signed"], results["e_allplus"], results["gap"], 0, ""],
-        )
-        return results, passed, csv_text
-    return _signed_sum_mc(psi, sampler, pattern, n_samples, seed)
-
-
-def _signed_sum_mc(psi, sampler, pattern, n_samples, seed):
-    seed = mc_mod.parse_seed(seed)
-    est_signed, est_plus = mc_mod.mc_signed_sum(psi, sampler, pattern, n_samples, seed)
-    gap = est_plus.mean - est_signed.mean
-    stderr = float(np.hypot(est_signed.stderr, est_plus.stderr))
-    # flag only a statistically significant violation of the signed-sum bound
-    passed = gap >= -5.0 * stderr
-    results = {
-        "method": "monte_carlo",
-        "e_signed": est_signed.mean,
-        "e_allplus": est_plus.mean,
-        "gap": gap,
-        "stderr": stderr,
-        "n_samples": n_samples,
-        "seed": seed,
-    }
-    csv_text = _single_row_csv(
-        _SIGNED_COLUMNS,
-        ["monte_carlo", est_signed.mean, est_plus.mean, gap, n_samples, seed],
-    )
-    return results, passed, csv_text
+        else:
+            results, passed = _exact_check(psi, law, tolerance, _SIGNED_NAMES)
+            return results, passed, _single_row_csv(
+                _SIGNED_COLUMNS, ["exact", results["e_signed"], results["e_allplus"], results["gap"], 0, ""])
+    results, passed = _mc_check(psi, mc_mod.ConvolutionSampler(sampler, m), n_samples, seed,
+                                names=_SIGNED_NAMES)
+    return results, passed, _single_row_csv(_SIGNED_COLUMNS, [results[c] for c in _SIGNED_COLUMNS])
 
 
 # each command's config fields, with its handler as the constructor
@@ -261,7 +237,9 @@ _EITHER_LAW = {"one_of": ("distribution", "sampler"), "needs": {"sampler": ("n_s
 
 COMMANDS = {
     "verify-inequality": Record(_run_verify_inequality, {
-        "psi": NDF, **_LAW, "z_threshold": POSITIVE, "tolerance": NONNEGATIVE}, ("psi",), **_EITHER_LAW),
+        "psi": NDF, **_LAW, "z_threshold": POSITIVE, "tolerance": NONNEGATIVE}, ("psi",),
+        one_of=_EITHER_LAW["one_of"],  # no Monte Carlo fallback, so a law takes no n_samples or seed
+        needs={**_EITHER_LAW["needs"], "n_samples": ("sampler",), "seed": ("sampler",)}),
     "check-kernel": Record(_run_check_kernel, {
         "psi": NDF, "points": POINTS, "tolerance": NONNEGATIVE}, ("psi", "points")),
     "variance-identity": Record(_run_variance_identity, {
@@ -302,6 +280,11 @@ def emit_csv(report: dict, path: str):
         fh.write(report["csv"])
 
 
+# config field -> the flag that overrides it, offered by the commands whose table has the field
+_OVERRIDES = {"seed": ("--seed", {"help": "override the config seed (decimal or 0x-hex)"}),
+              "n_samples": ("--samples", {"type": int, "help": "override the config sample count"})}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
@@ -311,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="CSV output path")
-        p.add_argument("--seed", help="override the config seed (decimal or 0x-hex)")
-        p.add_argument("--samples", type=int, help="override the config sample count")
+        for field, (flag, options) in _OVERRIDES.items():
+            if field in COMMANDS[name].fields:
+                p.add_argument(flag, dest=field, **options)
         p.add_argument("--schema", action="store_true", help="print the config schema and exit")
     return parser
 
@@ -341,10 +325,9 @@ def _main(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.seed is not None:
-            config["seed"] = args.seed
-        if args.samples is not None:
-            config["n_samples"] = args.samples
+        if isinstance(config, dict):  # decode rejects any other value as it stands
+            config.update({field: getattr(args, field) for field in _OVERRIDES
+                           if getattr(args, field, None) is not None})
         # psi may overflow on extreme inputs; non-finite results are rejected
         # (by mc._estimate, and by allow_nan=False below), so numpy's warnings
         # would only add noise before the one error line
@@ -352,7 +335,7 @@ def _main(args) -> int:
             report = run(args.command, config)
         printable = {k: v for k, v in report.items() if k != "csv"}
         text = json.dumps(printable, indent=2, sort_keys=True, default=str, allow_nan=False)
-    except (ConfigError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -5,17 +5,14 @@ estimate is a pure function of (spec, seed, count).  Both sides of the
 inequality are evaluated on the same draws (common random numbers),
 which makes the gap estimator far tighter than two independent runs.
 Every estimator streams chunks of ``_CHUNK`` samples from one generator,
-folding exact (count, mean, M2) triples, so memory is
-O(_CHUNK * n_vars * dim).  Pair estimators draw x then y per chunk; signed
-sums draw sample-major, exactly continuing a whole-array draw's stream.
+drawing x then y per chunk and folding exact (count, mean, M2) triples, so
+memory is O(_CHUNK * dim), times m for a sampler of m-fold sums.  A signed
+sum with m plus and m minus signs is the pair check on the m-fold sum
+(:class:`ConvolutionSampler`).
 
 A chunk makes as few passes over memory as its arithmetic allows, without
 changing a bit of it: Gaussian and uniform draws are scaled and shifted in
-place, deviations are squared in place, and a signed sum's all-plus sum
-adds the variables one at a time in sign order.  That order is the one
-``draws.sum(axis=1)`` takes when dim >= 2 or there are fewer than 8 signs;
-for a 1-d law with 8 or more signs numpy sums pairwise instead, so there
-the all-plus estimate may differ from that sum in its last bits.
+place, and deviations are squared in place.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ __all__ = [
     "GaussianIso",
     "UniformBox",
     "CounterexampleSampler",
+    "ConvolutionSampler",
     "McEstimate",
     "InequalityVerdict",
     "CONSISTENT",
@@ -61,7 +59,10 @@ INCONCLUSIVE = "Inconclusive"
 
 
 class SamplerSpec:
-    """Base class for sampling laws of X (and independent copies)."""
+    """Base class for sampling laws of X (and independent copies).
+
+    ``draw(rng, count)`` returns a fresh (count, dim) array.
+    """
 
     dim: int
 
@@ -159,6 +160,25 @@ class CounterexampleSampler(SamplerSpec):
 
 
 @dataclass(frozen=True)
+class ConvolutionSampler(SamplerSpec):
+    """The law of X_1 + ... + X_m: each draw adds m consecutive draws of ``spec``."""
+
+    spec: SamplerSpec
+    m: int
+
+    @property
+    def dim(self):
+        return self.spec.dim
+
+    def draw(self, rng, count):
+        draws = self.spec.draw(rng, count * self.m).reshape(count, self.m, self.dim)
+        total = draws[:, 0]  # a view of the fresh draws, so the adds may go in place
+        for j in range(1, self.m):
+            total += draws[:, j]
+        return total
+
+
+@dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo mean with its standard error."""
 
@@ -236,21 +256,6 @@ def _estimate(stats, seed: int) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, n_samples=n, seed=seed)
 
 
-def _stream(psi, spec: SamplerSpec, n_samples: int, seed: int, chunk_values) -> list[McEstimate]:
-    """One estimate per value array of ``chunk_values(rng, count)``, which draws
-    and evaluates one chunk; each array's (count, mean, M2) is folded across chunks."""
-    if psi.dim != spec.dim:
-        raise DimensionMismatch(f"psi has dimension {psi.dim}, sampler has {spec.dim}")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    rng = _rng(seed)
-    acc = None
-    for start in range(0, n_samples, _CHUNK):
-        stats = [_chunk_stats(v) for v in chunk_values(rng, min(_CHUNK, n_samples - start))]
-        acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
-    return [_estimate(s, seed) for s in acc]
-
-
 def mc_pair_estimates(psi, spec: SamplerSpec, n_samples: int, seed: int):
     """(est_minus, est_plus) for E psi(X-Y) and E psi(X+Y) on shared draws."""
     verdict = mc_inequality_verdict(psi, spec, n_samples, seed)
@@ -260,14 +265,21 @@ def mc_pair_estimates(psi, spec: SamplerSpec, n_samples: int, seed: int):
 def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
                           z_threshold: float = 5.0) -> InequalityVerdict:
     """Statistical verdict on E psi(X-Y) <= E psi(X+Y) from paired samples."""
-
-    def chunk_values(rng, count):
+    if psi.dim != spec.dim:
+        raise DimensionMismatch(f"psi has dimension {psi.dim}, sampler has {spec.dim}")
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
+    rng = _rng(seed)
+    acc = None
+    for start in range(0, n_samples, _CHUNK):
+        count = min(_CHUNK, n_samples - start)
         x = spec.draw(rng, count)
         y = spec.draw(rng, count)
         minus, plus = psi.eval_many(x - y), psi.eval_many(x + y)
-        return minus, plus, minus - plus  # the difference gives the paired variance
-
-    est_minus, est_plus, diff = _stream(psi, spec, n_samples, seed, chunk_values)
+        # the difference gives the paired variance
+        stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
+        acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
+    est_minus, est_plus, diff = (_estimate(s, seed) for s in acc)
     if diff.stderr == 0.0:
         z = 0.0 if diff.mean == 0.0 else float(np.sign(diff.mean)) * float("inf")
     else:
@@ -282,17 +294,9 @@ def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
 
 
 def mc_signed_sum(psi, spec: SamplerSpec, pattern: SignPattern, n_samples: int, seed: int):
-    """(est_signed, est_allplus) for E psi(sum eps_j X_j) and E psi(sum X_j)."""
-    signs = np.array(pattern.signs, dtype=float)
-
-    def chunk_values(rng, count):
-        draws = spec.draw(rng, count * signs.size).reshape(count, signs.size, spec.dim)
-        total = draws[:, 0] + draws[:, 1]  # added in sign order, one variable at a time
-        for j in range(2, signs.size):
-            total += draws[:, j]
-        return psi.eval_many(np.einsum("j,njd->nd", signs, draws)), psi.eval_many(total)
-
-    return tuple(_stream(psi, spec, n_samples, seed, chunk_values))
+    """(est_signed, est_allplus) for E psi(sum eps_j X_j) and E psi(sum X_j): those of
+    S - S' and S + S' for S, S' i.i.d. sums of m = len(pattern) / 2 copies of X."""
+    return mc_pair_estimates(psi, ConvolutionSampler(spec, len(pattern) // 2), n_samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,22 @@ class TestRun:
         report = run("signed-sum", {**config, "n_samples": 1000, "seed": 4})
         assert report["results"]["method"] == "monte_carlo"
 
+    def test_signed_sum_monte_carlo_takes_the_paired_verdict(self):
+        report = run("signed-sum", {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "sampler": GAUSS,
+                                    "n_samples": 1000, "seed": 4})
+        results = report["results"]
+        assert results["method"] == "monte_carlo"
+        assert results["verdict"] == "ConsistentHolds" and results["z_score"] <= 0.0
+        assert report["passed"]
+
+    def test_signed_pair_pattern_reproduces_verify_inequality(self):
+        # one pair of signs is the pair check itself, over more than one chunk
+        law = {"sampler": {"type": "uniform_box", "lower": [-1.0], "upper": [2.0]}, "n_samples": 70_000, "seed": 8}
+        pair = run("verify-inequality", {"psi": PSI_ABS, **law})["results"]
+        signed = run("signed-sum", {"psi": PSI_ABS, "pattern": [1, -1], **law})["results"]
+        assert (signed["e_signed"], signed["e_allplus"], signed["z_score"]) == (
+            pair["e_minus"], pair["e_plus"], pair["z_score"])
+
     def test_exact_tolerance_scales_with_the_sums(self):
         # centred laws make E|X+Y|^2 = E|X-Y|^2, a true gap of 0; at scales up
         # to 1e7 the computed gap rounds far below the fixed 1e-10
@@ -392,9 +408,36 @@ class TestMain:
         assert main(["counterexample", "--config", cfg]) == 3
         assert capsys.readouterr().err.strip().splitlines()[-1] == "internal error: RuntimeError: boom"
 
-    def test_exit_2_override_on_non_object_config(self, tmp_path):
+    def test_exit_3_on_handler_type_error(self, tmp_path, monkeypatch, capsys):
+        # a bug in a handler must not read as a config error
+        def crash(**fields):
+            raise TypeError("bug")
+
+        record = dataclasses.replace(cli.COMMANDS["counterexample"], build=crash)
+        monkeypatch.setitem(cli.COMMANDS, "counterexample", record)
+        cfg = write(tmp_path, "c.json", {"alpha": 3, "c": 1, "m": 10})
+        assert main(["counterexample", "--config", cfg]) == 3
+        assert capsys.readouterr().err.strip().splitlines()[-1] == "internal error: TypeError: bug"
+
+    def test_exit_2_override_on_non_object_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", [1, 2])
-        assert main(["tail-identity", "--config", cfg, "--seed", "3"]) == 2
+        assert main(["simulate-bbm", "--config", cfg, "--seed", "3"]) == 2
+        assert capsys.readouterr().err.strip() == "error: config field <root>: expected object, got array"
+
+    @pytest.mark.parametrize("command,flag", [
+        ("check-kernel", "--seed"), ("variance-identity", "--samples"), ("counterexample", "--seed"),
+        ("tail-identity", "--seed"), ("simulate-bbm", "--samples")])
+    def test_override_flags_only_where_the_table_has_the_field(self, tmp_path, capsys, command, flag):
+        cfg = write(tmp_path, "c.json", {})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    def test_exit_2_overrides_on_an_exact_law(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", {"psi": PSI_ABS, "distribution": BERNOULLI})
+        assert main(["verify-inequality", "--config", cfg, "--samples", "500", "--seed", "2"]) == 2
+        assert capsys.readouterr().err.strip() == "error: config field sampler: missing field"
 
     def test_exit_2_schema_violation(self, tmp_path):
         cfg = write(tmp_path, "c.json", {"alpha": 3})
@@ -461,6 +504,9 @@ class TestMain:
                 "signed-sum",
                 {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "distribution": BERNOULLI},
             ),
+            # more than one 65 536-sample chunk
+            ("signed-sum", {"psi": PSI_ABS, "pattern": [1, -1, -1, 1], "sampler": GAUSS,
+                            "n_samples": 70_000, "seed": 6}),
         ],
     )
     def test_rerun_byte_identical(self, tmp_path, command, config):

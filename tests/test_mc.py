@@ -29,12 +29,13 @@ from ndflab.core import decode, encode
 from ndflab.mc import (
     _CHUNK,
     CONSISTENT,
+    ConvolutionSampler,
     INCONCLUSIVE,
     SAMPLERS,
     VIOLATION,
     parse_seed,
 )
-from randgen import random_distribution, random_ndf_spec
+from randgen import random_distribution, random_ndf_spec, random_sampler
 
 ABS1 = EuclideanPower(1.0, 1)
 # a 2-d spec exercising the quadratic form, a Levy atom and a power
@@ -165,6 +166,29 @@ class TestSignedSum:
         )
 
 
+    def test_sum_sampler_adds_consecutive_draws_in_order(self):
+        spec = UniformBox([0.0, -1.0], [2.0, 1.0])
+        np.testing.assert_array_equal(sample(ConvolutionSampler(spec, 1), 5, 300), sample(spec, 5, 300))
+        draws = sample(spec, 5, 900).reshape(300, 3, 2)
+        expected = draws[:, 0] + draws[:, 1] + draws[:, 2]
+        np.testing.assert_array_equal(sample(ConvolutionSampler(spec, 3), 5, 300), expected)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dim=st.integers(1, 2), half=st.integers(1, 4), spec_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_signed_sum_is_the_pair_check_on_the_m_fold_sum(dim, half, spec_seed, data):
+    # only m = half matters: every order of the signs gives the same bits
+    rng = np.random.default_rng(spec_seed)
+    psi, spec = random_ndf_spec(rng, dim, depth=1), random_sampler(rng, dim)
+    signs = data.draw(st.permutations([1] * half + [-1] * half))
+    n, seed = 300, spec_seed % 1000
+    estimates = mc_signed_sum(psi, spec, SignPattern(tuple(signs)), n, seed)
+    assert estimates == mc_signed_sum(psi, spec, SignPattern((1,) * half + (-1,) * half), n, seed)
+    assert estimates == mc_pair_estimates(psi, ConvolutionSampler(spec, half), n, seed)
+    if half == 1:
+        assert estimates == mc_pair_estimates(psi, spec, n, seed)
+
+
 class TestPlumbing:
     def test_parse_seed(self):
         assert parse_seed(7) == 7
@@ -213,18 +237,18 @@ class TestStreaming:
         assert peak < 16 * 2**20
 
     def test_signed_sum_stream_is_unchanged(self):
-        # 3 full chunks plus a partial one; the values are those of a single
-        # whole-array draw of all n * n_vars samples, split into the same chunks
+        # 3 full chunks plus a partial one; each chunk draws S then S', each
+        # the in-order sum of m consecutive draws (m = n_vars / 2)
         law = DiscreteDistribution(np.array([[0.0], [1.0], [-2.5]]), np.array([0.2, 0.3, 0.5]))
         cases = [
             (EuclideanPower(1.0, 2), GaussianIso(2, 1.0, [0.5, -0.25]), (1, 1, -1, -1), 2024,
-             [(2.5040956524269298, 0.0029269744369001464), (3.237693759362245, 0.003570967450111977)]),
+             [(2.5084271426230473, 0.0029305918214582536), (3.2359105920809954, 0.0035608676738488228)]),
             (EuclideanPower(1.5, 1), DiscreteSampler(law), (1, -1), 2025,
-             [(2.878386748337883, 0.006266382891623746), (4.516012147850021, 0.008911420276878171)]),
+             [(2.8828705917752884, 0.006267540163135477), (4.5122399597723, 0.008911124356878176)]),
             (EuclideanPower(0.5, 2), UniformBox([0.0, -1.0], [2.0, 1.0]), (1, -1, 1, -1), 2026,
-             [(1.167418483899571, 0.0007070533024436409), (2.022230208348992, 0.000636952612292047)]),
+             [(1.1678287187191772, 0.000707185074302864), (2.0223933603628894, 0.0006354895669069904)]),
             (PSI2, UniformBox([-1.0, 0.0], [2.0, 0.5]), (1, -1, -1, 1, 1, -1, 1, -1), 2031,
-             [(5.399283348102231, 0.01373782075489002), (20.568288361602264, 0.03487042969235333)]),
+             [(5.4058777869893575, 0.013838639309347787), (20.559056008498235, 0.034835995437452257)]),
         ]
         assert 3 * _CHUNK < 200_001 < 4 * _CHUNK
         for psi, spec, signs, seed, expected in cases:
