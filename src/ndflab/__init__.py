@@ -32,7 +32,6 @@ from .distributions import (
     DiscreteDistribution,
     EnumerationLimitError,
     RawAbsPower,
-    SignPattern,
     convolution_power,
     counterexample_distribution,
     counterexample_gap_closed_form,
@@ -40,7 +39,6 @@ from .distributions import (
     ess_bounds_check,
     exact_expectation,
     exact_gap,
-    exact_signed_sum_gap,
     tail_identity_check,
 )
 from .kernels import GramResult, gram_matrix, psd_check, sine_decomposition_check, variance_identity
@@ -63,8 +61,6 @@ from .mc import (
     SamplerSpec,
     UniformBox,
     mc_inequality_verdict,
-    mc_pair_estimates,
-    mc_signed_sum,
     sample,
 )
 

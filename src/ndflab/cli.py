@@ -30,7 +30,7 @@ from . import bbm as bbm_mod
 from . import distributions as dist_mod
 from . import kernels as kernel_mod
 from . import mc as mc_mod
-from .core import (NDF, NONNEGATIVE, NUMBER, POINTS, POSITIVE, VECTOR, ConfigError, Record,
+from .core import (NDF, NONNEGATIVE, NUMBER, POINTS, POSITIVE, VECTOR, Record,
                    canonical_dumps, decode, encode, json_schema)
 from .distributions import ALPHA_ABOVE_2, DISTRIBUTION
 from .mc import SAMPLERS
@@ -103,20 +103,36 @@ def _mc_check(psi, sampler, n_samples, seed, z_threshold=5.0, names=("e_minus", 
     return results, verdict.kind != mc_mod.VIOLATION
 
 
+def _pair_check(psi, m, names, distribution=None, sampler=None, n_samples=None, seed=None,
+                tolerance=1e-10, z_threshold=5.0):
+    """(results, passed) for the pair check on S = X_1 + ... + X_m: exact on an exact law's
+    m-fold sum; by Monte Carlo on a sampler's, or on an exact law's when that sum is over the
+    pair-term budget and the config gives n_samples and seed (else that error exits 2)."""
+    if distribution is not None:
+        try:
+            law = dist_mod.convolution_power(distribution, m)
+        except dist_mod.EnumerationLimitError:
+            if n_samples is None or seed is None:
+                raise
+            sampler = mc_mod.DiscreteSampler(distribution)
+        else:
+            return _exact_check(psi, law, tolerance, names)
+    return _mc_check(psi, mc_mod.ConvolutionSampler(sampler, m), n_samples, seed, z_threshold, names)
+
+
 _VERIFY_COLUMNS = ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"]
 _SIGNED_NAMES = ("e_signed", "e_allplus")
 _SIGNED_COLUMNS = ["method", *_SIGNED_NAMES, "gap", "n_samples", "seed"]
 
 
-def _run_verify_inequality(psi, distribution=None, sampler=None, n_samples=None, seed=None,
-                           z_threshold=5.0, tolerance=1e-10, command=None):
-    if distribution is not None:
-        results, passed = _exact_check(psi, distribution, tolerance)
+def _run_verify_inequality(psi, distribution=None, sampler=None, command=None, **options):
+    results, passed = _pair_check(psi, 1, ("e_minus", "e_plus"), distribution, sampler, **options)
+    if sampler is None:
         law_id, tail = _hash(encode(DISTRIBUTION, distribution)), [0, 0.0, ""]
     else:
-        results, passed = _mc_check(psi, sampler, n_samples, seed, z_threshold)
         law_id = _hash(encode(SAMPLERS, sampler))
-        tail = [n_samples, float(np.hypot(results["stderr_minus"], results["stderr_plus"])), results["seed"]]
+        tail = [results["n_samples"], float(np.hypot(results["stderr_minus"], results["stderr_plus"])),
+                results["seed"]]
     csv_text = _single_row_csv(_VERIFY_COLUMNS, [
         _hash(encode(NDF, psi)), law_id, results["e_minus"], results["e_plus"], results["gap"],
         results["method"], *tail])
@@ -205,26 +221,14 @@ def _run_simulate_bbm(h, k, grid, n_paths, seed, command=None):
     return results, True, bbm_mod.paths_to_csv(paths)
 
 
-def _run_signed_sum(psi, pattern, distribution=None, sampler=None, n_samples=None, seed=None,
-                    tolerance=1e-10, command=None):
-    # sum_j eps_j X_j = S - S' and sum_j X_j = S + S' for S, S' i.i.d. sums of m copies of X
-    m = len(dist_mod.SignPattern(tuple(pattern))) // 2
-    if distribution is not None:
-        try:
-            law = dist_mod.convolution_power(distribution, m)
-        except dist_mod.EnumerationLimitError:
-            if n_samples is None or seed is None:
-                raise ConfigError(
-                    "exact sum too large; supply n_samples and seed for Monte Carlo"
-                )
-            sampler = mc_mod.DiscreteSampler(distribution)
-        else:
-            results, passed = _exact_check(psi, law, tolerance, _SIGNED_NAMES)
-            return results, passed, _single_row_csv(
-                _SIGNED_COLUMNS, ["exact", results["e_signed"], results["e_allplus"], results["gap"], 0, ""])
-    results, passed = _mc_check(psi, mc_mod.ConvolutionSampler(sampler, m), n_samples, seed,
-                                names=_SIGNED_NAMES)
-    return results, passed, _single_row_csv(_SIGNED_COLUMNS, [results[c] for c in _SIGNED_COLUMNS])
+def _run_signed_sum(psi, pattern, command=None, **law):
+    # sum_j eps_j X_j = S - S' and sum_j X_j = S + S' for S, S' i.i.d. sums of m copies of X;
+    # with signs of +/-1 only, a zero sum also means an even length
+    if sum(pattern) != 0:
+        raise ValueError("signs must sum to zero")
+    results, passed = _pair_check(psi, len(pattern) // 2, _SIGNED_NAMES, **law)
+    row = {"n_samples": 0, "seed": "", **results}  # an exact row leaves the Monte Carlo columns blank
+    return results, passed, _single_row_csv(_SIGNED_COLUMNS, [row[c] for c in _SIGNED_COLUMNS])
 
 
 # each command's config fields, with its handler as the constructor
@@ -334,7 +338,7 @@ def _main(args) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             report = run(args.command, config)
         printable = {k: v for k, v in report.items() if k != "csv"}
-        text = json.dumps(printable, indent=2, sort_keys=True, default=str, allow_nan=False)
+        text = json.dumps(printable, sort_keys=True, allow_nan=False)  # one line
     except (ValueError, OverflowError, RecursionError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,11 +2,12 @@
 
 Every expectation here is a finite sum over atom pairs, so the moment
 inequality E psi(X-Y) <= E psi(X+Y) can be checked in exact
-floating-point arithmetic, with no sampling error; a signed sum of
-i.i.d. copies reduces to such a pair sum on a convolution power of the
-law.  The module also hosts the two-point family that breaks the
-inequality for |x|^alpha with alpha > 2, the tail-integral identity for
-E|X+Y| - E|X-Y|, and the essential-bound (alpha = infinity) comparison.
+floating-point arithmetic, with no sampling error.  A signed sum of i.i.d.
+copies with m plus and m minus signs is the pair check on the m-fold sum,
+``exact_gap(psi, convolution_power(law, m))``.  The module also hosts the
+two-point family that breaks the inequality for |x|^alpha with alpha > 2,
+the tail-integral identity for E|X+Y| - E|X-Y|, and the essential-bound
+(alpha = infinity) comparison.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from .core import POINTS, VECTOR, DimensionMismatch, EuclideanPower, Record
 __all__ = [
     "DiscreteDistribution",
     "CounterexampleParams",
-    "SignPattern",
     "RawAbsPower",
     "EnumerationLimitError",
     "exact_expectation",
     "exact_gap",
-    "exact_signed_sum_gap",
     "convolution_power",
     "counterexample_distribution",
     "counterexample_gap_closed_form",
@@ -102,26 +101,6 @@ def _merge_atoms(atoms, weights):
     first = np.minimum.reduceat(order, starts)
     keep = np.argsort(first)
     return atoms[first[keep]], run_weights[keep]
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Even-length pattern of +/-1 signs summing to zero."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
-        object.__setattr__(self, "signs", signs)
-        if len(signs) == 0 or len(signs) % 2 != 0:
-            raise ValueError("sign pattern must have even positive length")
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be +1 or -1")
-        if sum(signs) != 0:
-            raise ValueError("signs must sum to zero")
-
-    def __len__(self):
-        return len(self.signs)
 
 
 @dataclass(frozen=True)
@@ -222,37 +201,27 @@ def exact_gap(psi, dist: DiscreteDistribution) -> float:
 def _within_budget(law: DiscreteDistribution) -> DiscreteDistribution:
     if law.n_atoms**2 > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"{law.n_atoms}^2 pair terms exceed the {ENUMERATION_LIMIT} "
-                                    "budget; use mc_signed_sum instead")
+                                    "budget; supply n_samples and seed to sample the sum instead")
     return law
 
 
 def convolution_power(dist: DiscreteDistribution, m: int) -> DiscreteDistribution:
     """The law of X_1 + ... + X_m for i.i.d. X_j ~ dist, coincident sums merged.
 
-    Built in m - 1 outer-sum steps, merging after each; raises
-    :class:`EnumerationLimitError` once the support's pair count
-    ``n_atoms**2`` exceeds ``ENUMERATION_LIMIT``.
+    ``dist`` itself for m = 1.  Otherwise built in m - 1 outer-sum steps,
+    merging after each; raises :class:`EnumerationLimitError` once the pair
+    count ``n_atoms**2`` of ``dist`` or of a sum built exceeds
+    ``ENUMERATION_LIMIT``.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    law = _within_budget(dist)
+    law = dist if m == 1 else _within_budget(dist)
     for _ in range(m - 1):
         atoms = (law.atoms[:, None, :] + dist.atoms[None, :, :]).reshape(-1, dist.dim)
         weights = np.outer(law.weights, dist.weights).ravel()
         # renormalised so that rounding in the products cannot fail the sum-to-1 check
         law = _within_budget(DiscreteDistribution(atoms, weights / weights.sum()))
     return law
-
-
-def exact_signed_sum_gap(psi, dist: DiscreteDistribution, pattern: SignPattern) -> float:
-    """E psi(sum_j X_j) - E psi(sum_j eps_j X_j) for i.i.d. X_j ~ dist.
-
-    With m plus and m minus signs, sum_j eps_j X_j = S - S' and
-    sum_j X_j = S + S' for i.i.d. S, S' ~ dist^{*m}, so this is
-    :func:`exact_gap` on :func:`convolution_power`.
-    """
-    _check_dims(psi, dist)
-    return exact_gap(psi, convolution_power(dist, len(pattern) // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
 class GramResult:
     """PSD verdict for a symmetric kernel matrix."""
 
-    matrix: np.ndarray
     min_eigenvalue: float
     psd: bool
     tol: float
@@ -48,17 +47,16 @@ def gram_matrix(psi, points) -> np.ndarray:
 
 
 def psd_check(matrix, tol: float | None = None) -> GramResult:
-    """Minimum-eigenvalue PSD verdict for a symmetric matrix."""
+    """Minimum-eigenvalue PSD verdict for a symmetric matrix, in Python scalars."""
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
     if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not symmetric")
-    if tol is None:
-        tol = psd_tolerance(mat.shape[0], scale)
+    tol = float(psd_tolerance(mat.shape[0], scale) if tol is None else tol)
     min_eig = float(np.min(np.linalg.eigvalsh(mat)))
-    return GramResult(matrix=mat, min_eigenvalue=min_eig, psd=min_eig >= -tol, tol=tol)
+    return GramResult(min_eigenvalue=min_eig, psd=min_eig >= -tol, tol=tol)
 
 
 def sine_decomposition_check(psi: NdfSpec, xi, eta) -> tuple[float, float]:

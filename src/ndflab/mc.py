@@ -4,11 +4,12 @@ Sampling is driven by numpy's counter-based Philox generator, so every
 estimate is a pure function of (spec, seed, count).  Both sides of the
 inequality are evaluated on the same draws (common random numbers),
 which makes the gap estimator far tighter than two independent runs.
-Every estimator streams chunks of ``_CHUNK`` samples from one generator,
-drawing x then y per chunk and folding exact (count, mean, M2) triples, so
-memory is O(_CHUNK * dim), times m for a sampler of m-fold sums.  A signed
-sum with m plus and m minus signs is the pair check on the m-fold sum
-(:class:`ConvolutionSampler`).
+:func:`mc_inequality_verdict` is the one estimator.  It streams chunks of
+``_CHUNK`` samples from one generator, drawing x then y per chunk and
+folding exact (count, mean, M2) triples, so memory is O(_CHUNK * dim),
+times m for a sampler of m-fold sums.  A signed sum with m plus and m minus
+signs is the pair check on the m-fold sum,
+``mc_inequality_verdict(psi, ConvolutionSampler(spec, m), n, seed)``.
 
 A chunk makes as few passes over memory as its arithmetic allows, without
 changing a bit of it: Gaussian and uniform draws are scaled and shifted in
@@ -28,7 +29,6 @@ from .distributions import (
     DISTRIBUTION,
     CounterexampleParams,
     DiscreteDistribution,
-    SignPattern,
     counterexample_distribution,
 )
 
@@ -45,9 +45,7 @@ __all__ = [
     "VIOLATION",
     "INCONCLUSIVE",
     "sample",
-    "mc_pair_estimates",
     "mc_inequality_verdict",
-    "mc_signed_sum",
     "parse_seed",
 ]
 
@@ -256,12 +254,6 @@ def _estimate(stats, seed: int) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, n_samples=n, seed=seed)
 
 
-def mc_pair_estimates(psi, spec: SamplerSpec, n_samples: int, seed: int):
-    """(est_minus, est_plus) for E psi(X-Y) and E psi(X+Y) on shared draws."""
-    verdict = mc_inequality_verdict(psi, spec, n_samples, seed)
-    return verdict.est_minus, verdict.est_plus
-
-
 def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
                           z_threshold: float = 5.0) -> InequalityVerdict:
     """Statistical verdict on E psi(X-Y) <= E psi(X+Y) from paired samples."""
@@ -291,12 +283,6 @@ def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
     else:
         kind = INCONCLUSIVE
     return InequalityVerdict(kind=kind, z_score=float(z), est_minus=est_minus, est_plus=est_plus)
-
-
-def mc_signed_sum(psi, spec: SamplerSpec, pattern: SignPattern, n_samples: int, seed: int):
-    """(est_signed, est_allplus) for E psi(sum eps_j X_j) and E psi(sum X_j): those of
-    S - S' and S + S' for S, S' i.i.d. sums of m = len(pattern) / 2 copies of X."""
-    return mc_pair_estimates(psi, ConvolutionSampler(spec, len(pattern) // 2), n_samples, seed)
 
 
 # ---------------------------------------------------------------------------

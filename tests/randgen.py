@@ -15,7 +15,6 @@ from ndflab import (
     LevyTriplet,
     Log1p,
     Power,
-    SignPattern,
     Subordinated,
     UniformBox,
 )
@@ -94,6 +93,7 @@ def random_sampler(rng, dim):
 
 
 def random_sign_pattern(rng, half):
+    """A shuffled tuple of ``half`` plus and ``half`` minus signs."""
     signs = [1] * half + [-1] * half
     rng.shuffle(signs)
-    return SignPattern(tuple(signs))
+    return tuple(signs)

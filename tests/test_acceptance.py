@@ -16,17 +16,16 @@ from ndflab import (
     Subordinated,
     bbm_covariance,
     bbm_sample_paths,
+    convolution_power,
     counterexample_distribution,
     counterexample_gap_closed_form,
     counterexample_search,
     empirical_covariance,
     exact_gap,
-    exact_signed_sum_gap,
     gram_matrix,
     kernel_bbm_identity_gap,
     kernel_kpsi,
     mc_inequality_verdict,
-    mc_pair_estimates,
     psd_check,
     tail_identity_check,
     variance_identity,
@@ -95,7 +94,7 @@ def test_criterion_3_exact_theorem_battery():
             psi = random_ndf_spec(rng, dim, depth=2)
             law = random_distribution(rng, dim, max_atoms=5)
             pattern = random_sign_pattern(rng, half)
-            ok = ok and exact_signed_sum_gap(psi, law, pattern) >= -1e-10
+            ok = ok and exact_gap(psi, convolution_power(law, len(pattern) // 2)) >= -1e-10
     _verdict(3, "exact inequality battery", ok)
 
 
@@ -168,9 +167,8 @@ def test_criterion_8_bbm_sampling():
 
 def test_criterion_9_monte_carlo_calibration():
     target = 2.0 / np.sqrt(np.pi)
-    est_minus, est_plus = mc_pair_estimates(
-        EuclideanPower(1.0, 1), GaussianIso(1, 1.0, [0.0]), 10**6, seed=9
-    )
+    verdict = mc_inequality_verdict(EuclideanPower(1.0, 1), GaussianIso(1, 1.0, [0.0]), 10**6, seed=9)
+    est_minus, est_plus = verdict.est_minus, verdict.est_plus
     ok = abs(est_minus.mean - target) <= 4 * est_minus.stderr
     ok = ok and abs(est_plus.mean - target) <= 4 * est_plus.stderr
 

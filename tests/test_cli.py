@@ -12,8 +12,8 @@ import pytest
 
 from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution, variance_identity
 from ndflab import cli
-from ndflab.cli import ConfigError, _exact_check, main, run
-from ndflab.core import MAX_DEPTH, NDF, canonical_dumps, decode, encode, json_schema
+from ndflab.cli import _exact_check, main, run
+from ndflab.core import MAX_DEPTH, NDF, ConfigError, canonical_dumps, decode, encode, json_schema
 from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import SAMPLERS
 from randgen import random_distribution, random_ndf_spec, random_sampler
@@ -64,10 +64,12 @@ NESTED_REJECTIONS = [
     ("check-kernel", {"psi": {"type": "from_triplet", "q": [["1"]]}, "points": [[1.0]]}, "psi/q/0/0"),
     ("signed-sum", {"psi": PSI_ABS, "pattern": [1.5, -1.5], "distribution": BERNOULLI}, "pattern/0"),
     ("verify-inequality", {"psi": PSI_ABS, "sampler": GAUSS, "seed": 3}, "n_samples"),
-    # invariants across fields, checked by the objects a handler builds
+    # invariants across fields, checked by a handler or the objects it builds
     ("signed-sum", {"psi": PSI_ABS, "pattern": [1, 1], "distribution": BERNOULLI}, "<root>"),
     ("counterexample", {"alpha": 3, "c": 5, "m": 2}, "<root>"),
     ("simulate-bbm", {"h": 0.9, "k": 2, "grid": [0.5, 1.0], "n_paths": 2, "seed": 1}, "<root>"),
+    ("signed-sum", {"psi": PSI_ABS, "pattern": [1, -1, 1], "distribution": BERNOULLI}, "<root>"),  # odd length
+    ("signed-sum", {"psi": PSI_ABS, "pattern": [1, 0], "distribution": BERNOULLI}, "pattern/1"),
 ]
 
 
@@ -213,6 +215,21 @@ class TestRun:
         signed = run("signed-sum", {"psi": PSI_ABS, "pattern": [1, -1], **law})["results"]
         assert (signed["e_signed"], signed["e_allplus"], signed["z_score"]) == (
             pair["e_minus"], pair["e_plus"], pair["z_score"])
+
+    def test_signed_pair_pattern_past_the_budget_reproduces_verify_inequality(self, tmp_path):
+        # 3163^2 pair terms exceed the budget of a sum of two or more copies, but
+        # one pair of signs is the pair check on the law itself, as in verify-inequality
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.05, 1.0, size=3163)
+        law = {"atoms": rng.normal(size=(3163, 1)).tolist(), "weights": (w / w.sum()).tolist()}
+        rows = []
+        for command, extra in (("verify-inequality", {}), ("signed-sum", {"pattern": [1, -1]})):
+            cfg, out = write(tmp_path, "c.json", {"psi": PSI_ABS, "distribution": law, **extra}), tmp_path / "o.csv"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            rows.append(dict(zip(*(line.split(",") for line in out.read_text().splitlines()))))
+        pair, signed = rows
+        assert (signed["e_signed"], signed["e_allplus"], signed["gap"], signed["method"]) == (
+            pair["e_minus"], pair["e_plus"], pair["gap"], "exact")
 
     def test_exact_tolerance_scales_with_the_sums(self):
         # centred laws make E|X+Y|^2 = E|X-Y|^2, a true gap of 0; at scales up
@@ -448,6 +465,17 @@ class TestMain:
         # a reported failure of the PSD check
         cfg = write(tmp_path, "k.json", RANK_ONE_GRAM_AT_ZERO_TOLERANCE)
         assert main(["check-kernel", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("config,code", [
+        ({"psi": PSI_ABS, "points": [[1.0], [-10.0], [3.0]]}, 0),  # tolerance derived from the matrix
+        (RANK_ONE_GRAM_AT_ZERO_TOLERANCE, 1)])
+    def test_report_is_one_json_line_with_a_boolean_psd(self, tmp_path, capsys, config, code):
+        assert main(["check-kernel", "--config", write(tmp_path, "k.json", config)]) == code
+        out = capsys.readouterr().out
+        results = json.loads(out)["results"]
+        assert results["psd"] is (code == 0)
+        assert type(results["tolerance"]) is float
+        assert out.count("\n") == 1
 
     def test_schema_flag(self, capsys):
         assert main(["simulate-bbm", "--schema"]) == 0

@@ -14,7 +14,6 @@ from ndflab import (
     EuclideanPower,
     Power,
     RawAbsPower,
-    SignPattern,
     Subordinated,
     convolution_power,
     counterexample_distribution,
@@ -23,7 +22,6 @@ from ndflab import (
     ess_bounds_check,
     exact_expectation,
     exact_gap,
-    exact_signed_sum_gap,
     tail_identity_check,
 )
 from ndflab.core import decode, encode
@@ -80,18 +78,21 @@ class TestExactGap:
 
 
 class TestSignedSum:
+    """A pattern with m plus and m minus signs is the pair check on the m-fold sum."""
+
     def test_pair_pattern_reduces_to_exact_gap(self):
         p = bernoulli_half()
-        gap2 = exact_signed_sum_gap(ABS1, p, SignPattern((1, -1)))
+        assert convolution_power(p, 1) is p
+        gap2 = exact_gap(ABS1, convolution_power(p, 1))
         assert gap2 == pytest.approx(exact_gap(ABS1, p), abs=1e-12)
 
     def test_bernoulli_four_variables(self):
-        gap = exact_signed_sum_gap(ABS1, bernoulli_half(), SignPattern((1, 1, -1, -1)))
+        gap = exact_gap(ABS1, convolution_power(bernoulli_half(), 2))
         assert gap == pytest.approx(2.0 - 0.75)
 
     def test_symmetric_law_zero(self):
         p = DiscreteDistribution(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-        assert abs(exact_signed_sum_gap(ABS1, p, SignPattern((1, 1, -1, -1)))) <= 1e-10
+        assert abs(exact_gap(ABS1, convolution_power(p, 2))) <= 1e-10
 
     def test_enumeration_guard(self):
         # 40 generic atoms: the 4-fold sum has C(43, 4) = 123410 atoms, whose
@@ -101,24 +102,16 @@ class TestSignedSum:
         p = DiscreteDistribution(rng.normal(size=(40, 1)), w / w.sum())
         assert convolution_power(p, 2).n_atoms == 40 * 41 // 2
         with pytest.raises(EnumerationLimitError):
-            exact_signed_sum_gap(ABS1, p, SignPattern((1,) * 4 + (-1,) * 4))
+            exact_gap(ABS1, convolution_power(p, 4))
 
     def test_cusp_case_matches_exact_rationals(self):
         # |x|^0.1 magnifies any leftover ulp of x1 + x2 - x1 - x2 at the cusp;
         # the pinned value comes from signed sums formed in exact rationals
         p = DiscreteDistribution(np.array([[0.1], [0.2], [0.7]]), np.array([0.25, 0.25, 0.5]))
-        psi, pattern = EuclideanPower(0.1, 1), SignPattern((1, 1, -1, -1))
-        e_plus, e_signed = fraction_signed_sum_expectations(psi, p, pattern)
-        for gap in (exact_signed_sum_gap(psi, p, pattern), e_plus - e_signed):
+        psi = EuclideanPower(0.1, 1)
+        e_plus, e_signed = fraction_signed_sum_expectations(psi, p, (1, 1, -1, -1))
+        for gap in (exact_gap(psi, convolution_power(p, 2)), e_plus - e_signed):
             assert gap == pytest.approx(0.32099480338887626, rel=1e-15, abs=0.0)
-
-    def test_pattern_validation(self):
-        with pytest.raises(ValueError):
-            SignPattern((1, 1))
-        with pytest.raises(ValueError):
-            SignPattern((1, -1, 1))
-        with pytest.raises(ValueError):
-            SignPattern((1, 0))
 
     def test_random_battery(self):
         rng = np.random.default_rng(21)
@@ -127,7 +120,7 @@ class TestSignedSum:
             psi = random_ndf_spec(rng, dim, depth=2)
             p = random_distribution(rng, dim, max_atoms=5)
             pattern = random_sign_pattern(rng, int(rng.integers(1, 4)))
-            assert exact_signed_sum_gap(psi, p, pattern) >= -1e-10
+            assert exact_gap(psi, convolution_power(p, len(pattern) // 2)) >= -1e-10
 
 
 class TestCounterexample:
@@ -365,15 +358,16 @@ def test_merge_keeps_law_without_coincident_atoms(dim, data):
     np.testing.assert_array_equal(p.weights, w)
 
 
-def fraction_signed_sum_expectations(psi, dist, pattern):
+def fraction_signed_sum_expectations(psi, dist, signs):
     """Brute-force reference: (E psi(sum X_j), E psi(sum eps_j X_j)) over all
-    k^(2m) outcomes, each signed sum formed exactly in rationals and rounded once."""
+    k^(2m) outcomes, each signed sum formed exactly in rationals and rounded once,
+    with the signs taken in their given order."""
     atoms = [[Fraction(c) for c in x] for x in dist.atoms.tolist()]
     probs, plus, signed = [], [], []
-    for idx in itertools.product(range(dist.n_atoms), repeat=len(pattern)):
+    for idx in itertools.product(range(dist.n_atoms), repeat=len(signs)):
         probs.append(math.prod(dist.weights[i] for i in idx))
         plus.append([float(sum(atoms[i][d] for i in idx)) for d in range(dist.dim)])
-        signed.append([float(sum(s * atoms[i][d] for s, i in zip(pattern.signs, idx)))
+        signed.append([float(sum(s * atoms[i][d] for s, i in zip(signs, idx)))
                        for d in range(dist.dim)])
     probs = np.array(probs)
     return float(probs @ psi.eval_many(np.array(plus))), float(probs @ psi.eval_many(np.array(signed)))
@@ -396,9 +390,8 @@ def test_convolution_matches_exact_enumeration(dim, alpha, half, data):
     signs = data.draw(st.permutations([1] * half + [-1] * half))
     p = DiscreteDistribution(np.array(atoms), w)
     psi = EuclideanPower(alpha, dim)
-    pattern = SignPattern(tuple(signs))
-    e_plus, e_signed = fraction_signed_sum_expectations(psi, p, pattern)
-    gap = exact_signed_sum_gap(psi, p, pattern)
+    e_plus, e_signed = fraction_signed_sum_expectations(psi, p, signs)
+    gap = exact_gap(psi, convolution_power(p, half))
     assert abs(gap - (e_plus - e_signed)) <= 1e-12 * (e_plus + e_signed)
 
 

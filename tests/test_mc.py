@@ -15,17 +15,16 @@ from ndflab import (
     GaussianIso,
     LevyTriplet,
     RawAbsPower,
-    SignPattern,
     UniformBox,
+    convolution_power,
     exact_expectation,
-    exact_signed_sum_gap,
+    exact_gap,
     mc_inequality_verdict,
-    mc_pair_estimates,
-    mc_signed_sum,
     sample,
 )
-from ndflab.cli import _exact_check
-from ndflab.core import decode, encode
+from ndflab.cli import _exact_check, run
+from ndflab.core import NDF, decode, encode
+from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import (
     _CHUNK,
     CONSISTENT,
@@ -87,12 +86,14 @@ class TestSample:
 
 class TestPairEstimates:
     def test_symmetric_spec_agreement(self):
-        est_minus, est_plus = mc_pair_estimates(ABS1, GaussianIso(1, 1.0, [0.0]), 10**5, 7)
+        verdict = mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), 10**5, 7)
+        est_minus, est_plus = verdict.est_minus, verdict.est_plus
         combined = np.hypot(est_minus.stderr, est_plus.stderr)
         assert abs(est_minus.mean - est_plus.mean) <= 4 * combined
 
     def test_gaussian_reference_value(self):
-        est_minus, est_plus = mc_pair_estimates(ABS1, GaussianIso(1, 1.0, [0.0]), 10**6, 8)
+        verdict = mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), 10**6, 8)
+        est_minus, est_plus = verdict.est_minus, verdict.est_plus
         assert abs(est_minus.mean - TWO_OVER_SQRT_PI) <= 4 * est_minus.stderr
         assert abs(est_plus.mean - TWO_OVER_SQRT_PI) <= 4 * est_plus.stderr
 
@@ -102,7 +103,8 @@ class TestPairEstimates:
             dim = int(rng.integers(1, 3))
             psi = random_ndf_spec(rng, dim, depth=2)
             law = random_distribution(rng, dim, max_atoms=6)
-            est_minus, est_plus = mc_pair_estimates(psi, DiscreteSampler(law), 10**5, 9)
+            verdict = mc_inequality_verdict(psi, DiscreteSampler(law), 10**5, 9)
+            est_minus, est_plus = verdict.est_minus, verdict.est_plus
             assert abs(est_minus.mean - exact_expectation(psi, law, "difference")) <= 5 * max(
                 est_minus.stderr, 1e-12
             )
@@ -112,7 +114,7 @@ class TestPairEstimates:
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            mc_pair_estimates(ABS1, GaussianIso(1, 1.0, [0.0]), 50, 0)
+            mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), 50, 0)
 
 
 class TestVerdict:
@@ -140,27 +142,29 @@ class TestVerdict:
 
 
 class TestSignedSum:
+    """A pattern with m plus and m minus signs is the pair check on the m-fold sum."""
+
     def test_symmetric_spec(self):
-        pattern = SignPattern((1, 1, -1, -1))
-        est_signed, est_plus = mc_signed_sum(ABS1, GaussianIso(1, 1.0, [0.0]), pattern, 10**5, 13)
+        verdict = mc_inequality_verdict(ABS1, ConvolutionSampler(GaussianIso(1, 1.0, [0.0]), 2), 10**5, 13)
+        est_signed, est_plus = verdict.est_minus, verdict.est_plus
         combined = np.hypot(est_signed.stderr, est_plus.stderr)
         assert abs(est_signed.mean - est_plus.mean) <= 4 * combined
 
     def test_bernoulli_oracle(self):
         law = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        pattern = SignPattern((1, 1, -1, -1))
-        est_signed, est_plus = mc_signed_sum(ABS1, DiscreteSampler(law), pattern, 10**5, 14)
+        verdict = mc_inequality_verdict(ABS1, ConvolutionSampler(DiscreteSampler(law), 2), 10**5, 14)
+        est_signed, est_plus = verdict.est_minus, verdict.est_plus
         assert abs(est_signed.mean - 0.75) <= 4 * est_signed.stderr
         assert abs(est_plus.mean - 2.0) <= 4 * est_plus.stderr
         # the MC gap matches the exact enumeration
-        exact = exact_signed_sum_gap(ABS1, law, pattern)
+        exact = exact_gap(ABS1, convolution_power(law, 2))
         combined = np.hypot(est_signed.stderr, est_plus.stderr)
         assert abs((est_plus.mean - est_signed.mean) - exact) <= 5 * combined
 
     def test_pair_pattern_matches_pair_estimates(self):
         spec = GaussianIso(1, 1.0, [0.5])
-        est_signed, est_plus = mc_signed_sum(ABS1, spec, SignPattern((1, -1)), 10**5, 15)
-        est_minus2, est_plus2 = mc_pair_estimates(ABS1, spec, 10**5, 16)
+        est_signed = mc_inequality_verdict(ABS1, ConvolutionSampler(spec, 1), 10**5, 15).est_minus
+        est_minus2 = mc_inequality_verdict(ABS1, spec, 10**5, 16).est_minus
         assert abs(est_signed.mean - est_minus2.mean) <= 5 * np.hypot(
             est_signed.stderr, est_minus2.stderr
         )
@@ -177,16 +181,29 @@ class TestSignedSum:
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(dim=st.integers(1, 2), half=st.integers(1, 4), spec_seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_signed_sum_is_the_pair_check_on_the_m_fold_sum(dim, half, spec_seed, data):
-    # only m = half matters: every order of the signs gives the same bits
+    # only m = half matters: in both engines every order of the signs gives the same CSV bytes
     rng = np.random.default_rng(spec_seed)
     psi, spec = random_ndf_spec(rng, dim, depth=1), random_sampler(rng, dim)
+    law = random_distribution(rng, dim, max_atoms=3)
     signs = data.draw(st.permutations([1] * half + [-1] * half))
     n, seed = 300, spec_seed % 1000
-    estimates = mc_signed_sum(psi, spec, SignPattern(tuple(signs)), n, seed)
-    assert estimates == mc_signed_sum(psi, spec, SignPattern((1,) * half + (-1,) * half), n, seed)
-    assert estimates == mc_pair_estimates(psi, ConvolutionSampler(spec, half), n, seed)
+    for engine in ({"distribution": encode(DISTRIBUTION, law)},
+                   {"sampler": encode(SAMPLERS, spec), "n_samples": n, "seed": seed}):
+        shuffled, ordered = (run("signed-sum", {"psi": encode(NDF, psi), "pattern": list(pattern), **engine})
+                             for pattern in (signs, [1] * half + [-1] * half))
+        assert shuffled["csv"] == ordered["csv"]
+        results = shuffled["results"]
+        if "distribution" in engine:
+            m_fold = convolution_power(law, half)
+            assert (results["e_signed"], results["e_allplus"]) == (
+                exact_expectation(psi, m_fold, "difference"), exact_expectation(psi, m_fold, "sum"))
+    verdict = mc_inequality_verdict(psi, ConvolutionSampler(spec, half), n, seed)
+    estimates = [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)]
+    assert estimates == [(results["e_signed"], results["stderr_signed"]),
+                         (results["e_allplus"], results["stderr_allplus"])]
     if half == 1:
-        assert estimates == mc_pair_estimates(psi, spec, n, seed)
+        verdict = mc_inequality_verdict(psi, spec, n, seed)
+        assert estimates == [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)]
 
 
 class TestPlumbing:
@@ -213,7 +230,7 @@ class TestPlumbing:
             np.testing.assert_array_equal(sample(spec, 3, 100), sample(clone, 3, 100))
 
     def test_estimate_stderr_definition(self):
-        est_minus, _ = mc_pair_estimates(ABS1, GaussianIso(1, 1.0, [0.0]), 1000, 17)
+        est_minus = mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), 1000, 17).est_minus
         spec = GaussianIso(1, 1.0, [0.0])
         rng = np.random.Generator(np.random.Philox(key=17))
         x = spec.draw(rng, 1000)
@@ -252,8 +269,8 @@ class TestStreaming:
         ]
         assert 3 * _CHUNK < 200_001 < 4 * _CHUNK
         for psi, spec, signs, seed, expected in cases:
-            estimates = mc_signed_sum(psi, spec, SignPattern(signs), 200_001, seed)
-            assert [(e.mean, e.stderr) for e in estimates] == expected
+            verdict = mc_inequality_verdict(psi, ConvolutionSampler(spec, len(signs) // 2), 200_001, seed)
+            assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == expected
 
     def test_pair_estimates_are_unchanged(self):
         # (mean, stderr) of E psi(X-Y) and E psi(X+Y) over 3 full chunks plus a partial one
@@ -275,7 +292,8 @@ class TestStreaming:
     def test_pair_estimates_follow_the_per_chunk_order(self):
         n = _CHUNK + 1
         spec = GaussianIso(1, 1.0, [0.25])
-        est_minus, est_plus = mc_pair_estimates(ABS1, spec, n, 18)
+        verdict = mc_inequality_verdict(ABS1, spec, n, 18)
+        est_minus, est_plus = verdict.est_minus, verdict.est_plus
         rng = np.random.Generator(np.random.Philox(key=18))
         xs, ys = [], []
         for count in (_CHUNK, 1):  # x then y for each chunk
