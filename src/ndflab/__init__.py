@@ -25,7 +25,6 @@ from .core import (
     eval_psi_many,
     kernel_kpsi,
     metric_dpsi,
-    subordinate,
 )
 from .distributions import (
     CounterexampleParams,

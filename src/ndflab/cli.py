@@ -103,21 +103,12 @@ def _mc_check(psi, sampler, n_samples, seed, z_threshold=5.0, names=("e_minus", 
     return results, verdict.kind != mc_mod.VIOLATION
 
 
-def _pair_check(psi, m, names, distribution=None, sampler=None, n_samples=None, seed=None,
-                tolerance=1e-10, z_threshold=5.0):
+def _pair_check(psi, m, names, distribution=None, sampler=None, tolerance=1e-10, **mc):
     """(results, passed) for the pair check on S = X_1 + ... + X_m: exact on an exact law's
-    m-fold sum; by Monte Carlo on a sampler's, or on an exact law's when that sum is over the
-    pair-term budget and the config gives n_samples and seed (else that error exits 2)."""
+    m-fold sum, by Monte Carlo on a sampler's."""
     if distribution is not None:
-        try:
-            law = dist_mod.convolution_power(distribution, m)
-        except dist_mod.EnumerationLimitError:
-            if n_samples is None or seed is None:
-                raise
-            sampler = mc_mod.DiscreteSampler(distribution)
-        else:
-            return _exact_check(psi, law, tolerance, names)
-    return _mc_check(psi, mc_mod.ConvolutionSampler(sampler, m), n_samples, seed, z_threshold, names)
+        return _exact_check(psi, dist_mod.convolution_power(distribution, m), tolerance, names)
+    return _mc_check(psi, mc_mod.ConvolutionSampler(sampler, m), names=names, **mc)
 
 
 _VERIFY_COLUMNS = ["psi_id", "law_id", "e_minus", "e_plus", "gap", "method", "n_samples", "stderr", "seed"]
@@ -200,10 +191,14 @@ def _run_counterexample(alpha, c, m=None, m_grid=None, command=None):
 
 
 def _run_tail_identity(distribution, tolerance=1e-12, command=None):
-    lhs, rhs = dist_mod.tail_identity_check(distribution)
-    passed = abs(lhs - rhs) <= tolerance * max(1.0, abs(lhs)) and rhs >= -tolerance
-    results = {"lhs": lhs, "rhs": rhs, "abs_error": abs(lhs - rhs), "tolerance": tolerance}
-    csv_text = _single_row_csv(["lhs", "rhs", "abs_error"], [lhs, rhs, abs(lhs - rhs)])
+    rhs = dist_mod._tail_integral(distribution)
+    exact, _ = _exact_check(dist_mod.RawAbsPower(1.0), distribution, tolerance)  # lhs, with its rounding
+    lhs, rounding = exact["gap"], exact["rounding_tolerance"]
+    err = abs(lhs - rhs)
+    passed = err <= tolerance * max(1.0, abs(lhs)) + rounding and rhs >= -tolerance
+    results = {"lhs": lhs, "rhs": rhs, "abs_error": err, "tolerance": tolerance,
+               "rounding_tolerance": rounding}
+    csv_text = _single_row_csv(["lhs", "rhs", "abs_error"], [lhs, rhs, err])
     return results, passed, csv_text
 
 
@@ -234,16 +229,16 @@ def _run_signed_sum(psi, pattern, command=None, **law):
 # each command's config fields, with its handler as the constructor
 SEED = {"type": ["integer", "string"], "minimum": 0, "maximum": 2**64 - 1,
         "pattern": "^(0[xX][0-9a-fA-F]+|[0-9]+)$"}
-# an exact law, or a sampler with its sample count and seed
+# an exact law, or a sampler with its sample count and seed; each engine takes only its own fields
 _LAW = {"distribution": DISTRIBUTION, "sampler": SAMPLERS,
         "n_samples": {"type": "integer", "minimum": 100}, "seed": SEED}
-_EITHER_LAW = {"one_of": ("distribution", "sampler"), "needs": {"sampler": ("n_samples", "seed")}}
+_EITHER_LAW = {"one_of": ("distribution", "sampler"), "needs": {"sampler": ("n_samples", "seed"),
+               "n_samples": ("sampler",), "seed": ("sampler",), "tolerance": ("distribution",)}}
 
 COMMANDS = {
     "verify-inequality": Record(_run_verify_inequality, {
         "psi": NDF, **_LAW, "z_threshold": POSITIVE, "tolerance": NONNEGATIVE}, ("psi",),
-        one_of=_EITHER_LAW["one_of"],  # no Monte Carlo fallback, so a law takes no n_samples or seed
-        needs={**_EITHER_LAW["needs"], "n_samples": ("sampler",), "seed": ("sampler",)}),
+        one_of=_EITHER_LAW["one_of"], needs={**_EITHER_LAW["needs"], "z_threshold": ("sampler",)}),
     "check-kernel": Record(_run_check_kernel, {
         "psi": NDF, "points": POINTS, "tolerance": NONNEGATIVE}, ("psi", "points")),
     "variance-identity": Record(_run_variance_identity, {

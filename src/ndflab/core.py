@@ -1,9 +1,9 @@
 """Continuous negative definite (cnd) functions and Bernstein functions.
 
-A cnd function is described symbolically by an :class:`NdfSpec` tree:
-a finite-atom Levy triplet, the closed form ``||xi||_2**alpha`` for
+A cnd function with psi(0) = 0 is described by an :class:`NdfSpec` tree:
+a finite-atom Levy triplet (Q, nu), the closed form ``||xi||_2**alpha`` for
 ``alpha in (0, 2]``, a subordinated composition ``f(psi(.))`` with a
-Bernstein function ``f``, or a conic combination of such terms.  All
+Bernstein function ``f``, ``f(0) = 0``, or a conic sum of such terms.  All
 evaluations are exact (no quadrature): Levy measures are restricted to
 finitely many atoms, so the cosine integral collapses to a finite sum.
 
@@ -37,10 +37,8 @@ __all__ = [
     "ConicSum",
     "as_point",
     "eval_bernstein",
-    "eval_bernstein_many",
     "eval_psi",
     "eval_psi_many",
-    "subordinate",
     "metric_dpsi",
     "kernel_kpsi",
     "psd_tolerance",
@@ -94,9 +92,6 @@ class BernsteinSpec:
     def eval_many(self, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def value_at_zero(self) -> float:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class BernsteinTriplet(BernsteinSpec):
@@ -125,9 +120,6 @@ class BernsteinTriplet(BernsteinSpec):
             out += w * -np.expm1(-t * lam)
         return out
 
-    def value_at_zero(self):
-        return self.a
-
 
 @dataclass(frozen=True)
 class Power(BernsteinSpec):
@@ -143,9 +135,6 @@ class Power(BernsteinSpec):
     def eval_many(self, lam):
         return np.power(lam, self.beta)
 
-    def value_at_zero(self):
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Log1p(BernsteinSpec):
@@ -154,20 +143,12 @@ class Log1p(BernsteinSpec):
     def eval_many(self, lam):
         return np.log1p(lam)
 
-    def value_at_zero(self):
-        return 0.0
-
-
-def eval_bernstein_many(f: BernsteinSpec, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("Bernstein functions are defined on [0, inf)")
-    return f.eval_many(lam)
-
 
 def eval_bernstein(f: BernsteinSpec, lam: float) -> float:
     """Evaluate a Bernstein function at a single nonnegative argument."""
-    return float(eval_bernstein_many(f, np.array([lam]))[0])
+    if lam < 0:
+        raise ValueError("Bernstein functions are defined on [0, inf)")
+    return float(f.eval_many(np.array([lam], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +158,10 @@ def eval_bernstein(f: BernsteinSpec, lam: float) -> float:
 
 @dataclass(frozen=True)
 class LevyTriplet:
-    """(a, Q, nu) with nu a finite atomic measure: atoms (u_k, m_k), u_k != 0, m_k > 0."""
+    """(Q, nu) with nu a finite atomic measure: atoms (u_k, m_k), u_k != 0, m_k > 0."""
 
     q: np.ndarray
     atoms: tuple[tuple[np.ndarray, float], ...] = ()
-    a: float = 0.0
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -197,9 +177,6 @@ class LevyTriplet:
             raise SpecError("Q must be positive semidefinite")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "a", float(self.a))
-        if self.a < 0:
-            raise SpecError("killing constant must be nonnegative")
         atoms = []
         for u, m in self.atoms:
             u = as_point(u, n)
@@ -237,10 +214,6 @@ class FromTriplet(NdfSpec):
     """psi(xi) = 0.5 <Q xi, xi> + sum_k (1 - cos<xi, u_k>) m_k."""
 
     triplet: LevyTriplet
-
-    def __post_init__(self):
-        if self.triplet.a != 0.0:
-            raise SpecError("a nonzero killing constant would give psi(0) != 0")
 
     @property
     def dim(self):
@@ -294,7 +267,7 @@ class Subordinated(NdfSpec):
     inner: NdfSpec
 
     def __post_init__(self):
-        if self.f.value_at_zero() != 0.0:
+        if self.f.eval_many(np.zeros(1))[0] != 0.0:
             raise SpecError("subordination requires f(0) = 0 to keep psi(0) = 0")
 
     @property
@@ -349,11 +322,6 @@ def eval_psi(psi: NdfSpec, xi) -> float:
     """Evaluate psi at a single point."""
     p = as_point(xi, psi.dim)
     return float(psi.eval_many(p[None, :])[0])
-
-
-def subordinate(f: BernsteinSpec, psi: NdfSpec) -> Subordinated:
-    """Bochner subordination f o psi; the result is again cnd."""
-    return Subordinated(f, psi)
 
 
 def metric_dpsi(psi: NdfSpec, xi, eta) -> float:
@@ -434,8 +402,8 @@ BERNSTEIN = Family("bernstein", {
 })
 NDF = Family("ndf", {})  # its records hold it, so they are added below
 NDF.records.update({
-    "from_triplet": Record(lambda q, atoms=(), a=0.0, dim=None: FromTriplet(LevyTriplet(q, atoms, a)), {
-        "dim": DIM, "a": {**NONNEGATIVE, "maximum": 0}, "q": nonempty(VECTOR),
+    "from_triplet": Record(lambda q, atoms=(), a=0.0, dim=None: FromTriplet(LevyTriplet(q, atoms)), {
+        "dim": DIM, "a": {**NONNEGATIVE, "maximum": 0}, "q": nonempty(VECTOR),  # a = 0, so it is dropped
         "atoms": {"type": "array", "items": Record(
             lambda u, m: (u, m), {"u": VECTOR, "m": POSITIVE}, ("u", "m"),
             read=lambda atom: {"u": atom[0], "m": atom[1]})},

@@ -201,7 +201,8 @@ def exact_gap(psi, dist: DiscreteDistribution) -> float:
 def _within_budget(law: DiscreteDistribution) -> DiscreteDistribution:
     if law.n_atoms**2 > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"{law.n_atoms}^2 pair terms exceed the {ENUMERATION_LIMIT} "
-                                    "budget; supply n_samples and seed to sample the sum instead")
+                                    "budget; to sample the sum instead, give the law as "
+                                    '{"sampler": {"type": "discrete", "distribution": ...}}')
     return law
 
 
@@ -294,10 +295,14 @@ def tail_identity_check(dist: DiscreteDistribution) -> tuple[float, float]:
     The integrand is piecewise constant between consecutive values of
     {|x_i|}, so the integral is an exact finite sum.
     """
+    rhs = _tail_integral(dist)
+    return exact_gap(RawAbsPower(1.0), dist), rhs
+
+
+def _tail_integral(dist: DiscreteDistribution) -> float:
+    """2 * int_0^inf [P(X>r) - P(X<-r)]^2 dr, the right side of the tail identity."""
     if dist.dim != 1:
         raise DimensionMismatch("tail identity is one-dimensional")
-    lhs = exact_gap(RawAbsPower(1.0), dist)
-
     x = dist.atoms[:, 0]
     w = dist.weights
     breaks = np.unique(np.abs(x))
@@ -309,7 +314,7 @@ def tail_identity_check(dist: DiscreteDistribution) -> tuple[float, float]:
         r = 0.5 * (lo + hi)  # integrand constant on (lo, hi)
         g = w[x > r].sum() - w[x < -r].sum()
         rhs += (hi - lo) * g * g
-    return lhs, float(2.0 * rhs)
+    return float(2.0 * rhs)
 
 
 def ess_bounds_check(dist: DiscreteDistribution) -> tuple[float, float]:

@@ -81,13 +81,13 @@ def sine_decomposition_check(psi: NdfSpec, xi, eta) -> tuple[float, float]:
 def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, float, float]:
     """(quadratic_form, gap, e_plus, e_minus): w' K w over the law's atoms vs the exact moment gap.
 
-    Both equal the variance of the Gaussian functional integrated
-    against the law, hence agree and are nonnegative for cnd psi.  The
-    pair matrices P = psi(x_i + x_j) and M = psi(x_i - x_j) are evaluated
-    once each; e_plus = w'Pw and e_minus = w'Mw are E psi(X+Y) and
-    E psi(X-Y), gap = e_plus - e_minus equals :func:`exact_gap` and
-    w'(P - M)w the quadratic form of :func:`gram_matrix`, bit for bit, so
-    the two sides are the same double sum added up in different orders.
+    Both equal the variance of the Gaussian functional integrated against
+    the law, so both are nonnegative for cnd psi.  P = psi(x_i + x_j) and
+    M = psi(x_i - x_j) are evaluated once each, and e_plus = w'Pw, e_minus
+    = w'Mw, gap = e_plus - e_minus (the bits of :func:`exact_gap`) and the
+    Gram form w'(P - M)w are one double sum added in two orders.  So this
+    checks summation rounding and the sign of the form, not a second route;
+    a feature map phi with K(x, y) = <phi(x), phi(y)> would give one.
     """
     _check_dims(psi, dist)
     w = dist.weights

@@ -12,8 +12,9 @@ import pytest
 
 from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution, variance_identity
 from ndflab import cli
+from ndflab import distributions as dist_mod
 from ndflab.cli import _exact_check, main, run
-from ndflab.core import MAX_DEPTH, NDF, ConfigError, canonical_dumps, decode, encode, json_schema
+from ndflab.core import BERNSTEIN, MAX_DEPTH, NDF, ConfigError, canonical_dumps, decode, encode, json_schema
 from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import SAMPLERS
 from randgen import random_distribution, random_ndf_spec, random_sampler
@@ -70,7 +71,35 @@ NESTED_REJECTIONS = [
     ("simulate-bbm", {"h": 0.9, "k": 2, "grid": [0.5, 1.0], "n_paths": 2, "seed": 1}, "<root>"),
     ("signed-sum", {"psi": PSI_ABS, "pattern": [1, -1, 1], "distribution": BERNOULLI}, "<root>"),  # odd length
     ("signed-sum", {"psi": PSI_ABS, "pattern": [1, 0], "distribution": BERNOULLI}, "pattern/1"),
+    # a triplet has no constant term: psi(0) = 0 leaves "a" the one value 0
+    ("check-kernel", {"psi": {"type": "from_triplet", "q": [[1.0]], "a": 0.5}, "points": [[1.0]]}, "psi/a"),
 ]
+
+# a symmetric law, so E|X+Y| = E|X-Y|; the computed lhs is -1.8e-12, past 1e-12 * max(1, |lhs|)
+TAIL_AT_SCALE = {"distribution": {
+    "atoms": [-5174.274, 17650.317, 13063.372, 5174.274, -17650.317, -13063.372],
+    "weights": [0.030665887850467293, 0.22721962616822433, 0.24211448598130844,
+                0.030665887850467293, 0.22721962616822433, 0.24211448598130844]}}
+
+# base configs with each command's optional fields, an exact and a Monte Carlo one where both exist
+FIELD_BASES = {
+    "verify-inequality": [{"psi": PSI_ABS, "distribution": BERNOULLI},
+                          {"psi": PSI_ABS, "sampler": GAUSS, "n_samples": 1000, "seed": 5}],
+    "check-kernel": [{"psi": PSI_ABS, "points": [[1.0], [2.0], [-3.0]]}],
+    "variance-identity": [{"psi": PSI_ABS, "distribution": BERNOULLI}],
+    "counterexample": [{"alpha": 3, "c": 1, "m": 10}, {"alpha": 3, "c": 1, "m_grid": [1.0, 10.0, 100.0]}],
+    "tail-identity": [{"distribution": BERNOULLI}],
+    "simulate-bbm": [{"h": 0.5, "k": 1.0, "grid": [0.5, 1.0], "n_paths": 5, "seed": 3}],
+    "signed-sum": [{"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "distribution": BERNOULLI},
+                   {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "sampler": GAUSS, "n_samples": 1000, "seed": 5}],
+}
+# a valid value for each optional field, other than any value a base config gives it
+FIELD_ALTERNATIVES = {
+    "distribution": {"atoms": [[0.0], [2.0]], "weights": [0.25, 0.75]},
+    "sampler": {"type": "uniform_box", "lower": [-1.0], "upper": [2.0]},
+    "n_samples": 2000, "seed": 6, "z_threshold": 1e-9, "tolerance": 123.0,
+    "m": 20.0, "m_grid": [2000.0, 3000.0],
+}
 
 
 def subordinated_chain(depth):
@@ -187,18 +216,19 @@ class TestRun:
         assert report["results"]["e_allplus"] == pytest.approx(2.0)
         assert report["csv"].splitlines()[1] == "exact,0.75,2,1.25,0,"
 
-    def test_signed_sum_over_budget_falls_back_to_monte_carlo(self):
+    def test_signed_sum_over_budget_samples_only_through_the_discrete_sampler(self):
         rng = np.random.default_rng(3)
         w = rng.uniform(0.05, 1.0, size=40)
-        config = {
-            "psi": PSI_ABS,
-            "pattern": [1, 1, 1, 1, -1, -1, -1, -1],
-            "distribution": {"atoms": rng.normal(size=(40, 1)).tolist(), "weights": (w / w.sum()).tolist()},
-        }
-        with pytest.raises(ConfigError):
+        law = {"atoms": rng.normal(size=(40, 1)).tolist(), "weights": (w / w.sum()).tolist()}
+        config = {"psi": PSI_ABS, "pattern": [1, 1, 1, 1, -1, -1, -1, -1], "distribution": law}
+        with pytest.raises(ConfigError, match='"type": "discrete"'):
             run("signed-sum", config)
-        report = run("signed-sum", {**config, "n_samples": 1000, "seed": 4})
-        assert report["results"]["method"] == "monte_carlo"
+        with pytest.raises(ConfigError, match="config field sampler: missing field"):
+            run("signed-sum", {**config, "n_samples": 1000, "seed": 4})  # a law is never sampled
+        report = run("signed-sum", {"psi": PSI_ABS, "pattern": config["pattern"], "n_samples": 1000, "seed": 4,
+                                    "sampler": {"type": "discrete", "distribution": law}})
+        assert report["csv"] == ("method,e_signed,e_allplus,gap,n_samples,seed\n"
+                                 "monte_carlo,2.3844194426575491,2.6296604941355435,0.24524105147799435,1000,4\n")
 
     def test_signed_sum_monte_carlo_takes_the_paired_verdict(self):
         report = run("signed-sum", {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "sampler": GAUSS,
@@ -286,6 +316,42 @@ class TestRun:
         rows = [run("verify-inequality", {"psi": PSI_ABS, "distribution": law})["csv"].splitlines()[1]
                 for law in (BERNOULLI, split)]
         assert rows[0] == rows[1]
+
+    def test_tail_identity_allows_the_rounding_of_the_pair_sums(self):
+        report = run("tail-identity", TAIL_AT_SCALE)
+        results = report["results"]
+        assert report["passed"], results
+        assert results["abs_error"] > results["tolerance"] * max(1.0, abs(results["lhs"]))
+        assert results["abs_error"] < results["rounding_tolerance"]
+        assert report["csv"].splitlines()[0] == "lhs,rhs,abs_error"
+
+    def test_tail_identity_still_flags_a_wrong_integral(self, tmp_path, monkeypatch):
+        integral = dist_mod._tail_integral
+        monkeypatch.setattr(dist_mod, "_tail_integral",
+                            lambda law: integral(law) + 1e-6 * float(law.weights @ np.abs(law.atoms[:, 0])))
+        assert main(["tail-identity", "--config", write(tmp_path, "t.json", TAIL_AT_SCALE)]) == 1
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_optional_field_changes_the_run_or_is_rejected(self, command):
+        record = cli.COMMANDS[command]
+        optional = [name for name in record.fields if name not in record.required and name != "command"]
+        for base in FIELD_BASES[command]:
+            expected = run(command, base)
+            for name in optional:
+                config = {**base, name: FIELD_ALTERNATIVES[name]}
+                assert config[name] != base.get(name)
+                try:
+                    report = run(command, config)
+                except ConfigError:
+                    continue  # exit 2
+                assert (report["results"], report["csv"]) != (expected["results"], expected["csv"]), (base, name)
+
+    def test_cross_field_rules_name_fields_of_their_record(self):
+        records = [*cli.COMMANDS.values(), DISTRIBUTION,
+                   *(r for family in (NDF, BERNSTEIN, SAMPLERS) for r in family.records.values())]
+        for record in records:
+            names = [*record.one_of, *record.needs, *(need for needs in record.needs.values() for need in needs)]
+            assert set(names) <= set(record.fields), record
 
     def test_command_field_must_match(self):
         with pytest.raises(ConfigError):

@@ -19,7 +19,6 @@ from ndflab import (
     eval_psi_many,
     kernel_kpsi,
     metric_dpsi,
-    subordinate,
 )
 from ndflab.core import BERNSTEIN, NDF, DimensionMismatch, canonical_dumps, decode, encode
 from randgen import random_bernstein, random_ndf_spec, random_triplet_spec
@@ -71,23 +70,24 @@ def test_eval_psi_dimension_mismatch():
         eval_psi(EuclideanPower(1.0, 2), [1.0, 2.0, 3.0])
 
 
-def test_killing_constant_rejected():
-    with pytest.raises(SpecError):
-        FromTriplet(LevyTriplet(q=np.eye(1), a=0.5))
+@pytest.mark.parametrize("a", [0, 0.0])
+def test_from_triplet_decodes_a_zero_constant_term(a):
+    psi = decode(NDF, {"type": "from_triplet", "q": [[1.0]], "a": a})
+    assert encode(NDF, psi) == {"type": "from_triplet", "dim": 1, "a": 0.0, "q": [[1.0]], "atoms": []}
 
 
 def test_subordinate_examples():
     quad = FromTriplet(LevyTriplet(q=2.0 * np.eye(1)))
-    psi = subordinate(Power(1.0), quad)
+    psi = Subordinated(Power(1.0), quad)
     assert eval_psi(psi, 3.0) == eval_psi(quad, 3.0)
-    root = subordinate(Power(0.5), quad)
+    root = Subordinated(Power(0.5), quad)
     assert eval_psi(root, -4.0) == pytest.approx(4.0)
-    assert eval_psi(subordinate(Log1p(), EuclideanPower(2.0, 1)), 0.0) == 0.0
+    assert eval_psi(Subordinated(Log1p(), EuclideanPower(2.0, 1)), 0.0) == 0.0
 
 
 def test_subordinate_rejects_nonzero_f_at_zero():
     with pytest.raises(SpecError):
-        subordinate(BernsteinTriplet(a=1.0), EuclideanPower(1.0, 1))
+        Subordinated(BernsteinTriplet(a=1.0), EuclideanPower(1.0, 1))
 
 
 def test_metric_examples():
