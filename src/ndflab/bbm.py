@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
 from .core import psd_tolerance
 
 __all__ = [
@@ -98,7 +99,10 @@ def _cov(params: BbmParams, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 def bbm_cov_matrix(params: BbmParams, grid) -> np.ndarray:
     """Covariance matrix R(t_i, t_j) over a time grid."""
     g = _check_grid(grid)
-    return _cov(params, g[:, None], g[None, :])  # symmetric bit for bit
+    cov = _cov(params, g[:, None], g[None, :])  # symmetric bit for bit
+    if not np.isfinite(cov).all():
+        raise ValueError("bBm covariance matrix has non-finite entries: the grid times overflow it")
+    return cov
 
 
 def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> GridPath:
@@ -149,6 +153,8 @@ def kernel_bbm_identity_gap(alpha: float, xi: float, eta: float) -> float:
 
 
 def paths_to_csv(paths: GridPath) -> str:
-    """CSV with the grid times as the first row, one path per subsequent row."""
-    line = ",".join(["%.17g"] * paths.grid.size) + "\n"  # the digits of format(v, ".17g")
-    return "".join(line % tuple(row.tolist()) for row in (paths.grid, *paths.values))
+    """CSV with the grid times as the first row, one path per subsequent row.
+
+    Each entry is the text of format(v, ".17g").
+    """
+    return _csv.rows(paths.values, head=_csv.rows(paths.grid[None, :]))

@@ -274,7 +274,7 @@ def run(command: str, config: dict) -> dict:
 
 
 def emit_csv(report: dict, path: str):
-    """Write the report's tabular section; floats carry 17 significant digits."""
+    """Write the report's tabular section; a float is the text of format(v, ".17g")."""
     with open(path, "w", newline="") as fh:
         fh.write(report["csv"])
 

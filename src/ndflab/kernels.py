@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _csv
 from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, psd_tolerance
 from .distributions import DiscreteDistribution, _check_dims, _pair_values
 
@@ -43,7 +44,10 @@ def gram_matrix(psi, points) -> np.ndarray:
         raise ValueError("need a nonempty (k, n) point set")
     if pts.shape[1] != psi.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, psi has {psi.dim}")
-    return _pair_values(psi, pts, 1.0) - _pair_values(psi, pts, -1.0)  # exactly symmetric
+    mat = _pair_values(psi, pts, 1.0) - _pair_values(psi, pts, -1.0)  # exactly symmetric
+    if not np.isfinite(mat).all():
+        raise ValueError("Gram matrix has non-finite entries: psi overflows on these points")
+    return mat
 
 
 def psd_check(matrix, tol: float | None = None) -> GramResult:
@@ -99,8 +103,6 @@ def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, fl
 
 
 def gram_to_csv(matrix) -> str:
-    """Row-major CSV with a header row of point indices."""
+    """Row-major CSV with a header row of point indices; each entry is the text of format(v, ".17g")."""
     mat = np.asarray(matrix, dtype=float)
-    line = ",".join(["%.17g"] * mat.shape[1]) + "\n"  # the digits of format(v, ".17g")
-    header = ",".join(str(i) for i in range(mat.shape[1])) + "\n"
-    return header + "".join(line % tuple(row.tolist()) for row in mat)
+    return _csv.rows(mat, head=",".join(str(i) for i in range(mat.shape[1])) + "\n")

@@ -159,3 +159,15 @@ def test_paths_csv_layout():
     lines = paths_to_csv(paths).strip().split("\n")
     assert lines[0] == "1,2"
     assert len(lines) == 4
+
+
+def test_paths_csv_matches_the_template_on_a_large_matrix():
+    paths = bbm_sample_paths(BbmParams(0.6, 0.9), np.linspace(0.0, 2.0, 801)[1:], 100, seed=7)
+    line = ",".join(["%.17g"] * 800) + "\n"  # the per-row template used before the vectorised formatter
+    assert paths_to_csv(paths) == "".join(line % tuple(row.tolist()) for row in (paths.grid, *paths.values))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_grid_is_rejected():
+    with pytest.raises(ValueError, match="covariance matrix has non-finite entries"):
+        bbm_cov_matrix(BbmParams(1.0, 1.0), [1e-200, 1.0, 1e200])

@@ -410,6 +410,22 @@ class TestMain:
         assert "Out of range float" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,config,matrix",
+        [
+            # these reached LAPACK ("Eigenvalues did not converge") or the JSON dump
+            ("check-kernel", {"psi": PSI_SQUARE, "points": [[1e200], [2e200], [1.0]]}, "Gram matrix"),
+            ("check-kernel", {"psi": PSI_SQUARE, "points": [[1e160], [1.0]]}, "Gram matrix"),
+            ("simulate-bbm", {"h": 1, "k": 1, "grid": [1e-200, 1, 1e200], "n_paths": 2, "seed": 1},
+             "bBm covariance matrix"),
+        ],
+    )
+    def test_exit_2_names_a_non_finite_matrix(self, tmp_path, capsys, command, config, matrix):
+        cfg = write(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{matrix} has non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
         "command,config",
         [
             ("verify-inequality", {"psi": PSI_SQUARE, "n_samples": 1000, "seed": 1, "sampler": {

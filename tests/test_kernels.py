@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from ndflab import (
+    ConicSum,
     DiscreteDistribution,
     EuclideanPower,
     FromTriplet,
     LevyTriplet,
+    Log1p,
     RawAbsPower,
+    Subordinated,
     gram_matrix,
     kernel_kpsi,
     psd_check,
@@ -145,3 +148,23 @@ def test_gram_csv_format():
     assert lines[0] == "0,1"
     assert lines[1].split(",")[0] == "1"
     assert len(lines) == 3
+
+
+def template_csv(rows) -> str:
+    """The per-row %.17g template the CSV writers used before the vectorised formatter."""
+    line = ",".join(["%.17g"] * len(rows[0])) + "\n"
+    return "".join(line % tuple(row.tolist()) for row in rows)
+
+
+def test_gram_csv_matches_the_template_on_a_large_matrix():
+    rng = np.random.default_rng(12)
+    triplet = FromTriplet(LevyTriplet(np.eye(2), ((np.array([0.5, -1.5]), 0.8), (np.array([2.0, 0.3]), 1.2))))
+    psi = ConicSum(((0.7, EuclideanPower(1.3, 2)), (1.1, Subordinated(Log1p(), triplet))))
+    mat = gram_matrix(psi, rng.normal(scale=3.0, size=(600, 2)))
+    assert gram_to_csv(mat) == ",".join(map(str, range(600))) + "\n" + template_csv(mat)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gram_of_overflowing_points_is_rejected():
+    with pytest.raises(ValueError, match="Gram matrix has non-finite entries"):
+        gram_matrix(EuclideanPower(2.0, 1), [[1e160], [1.0]])
