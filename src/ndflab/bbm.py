@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csv
 from .core import psd_tolerance
 
 __all__ = [
@@ -157,4 +156,6 @@ def paths_to_csv(paths: GridPath) -> str:
 
     Each entry is the text of format(v, ".17g").
     """
+    from . import _csv  # on first use: a command that writes no matrix does not load it
+
     return _csv.rows(paths.values, head=_csv.rows(paths.grid[None, :]))

@@ -273,10 +273,19 @@ def run(command: str, config: dict) -> dict:
     }
 
 
+_WRITE_CHUNK = 1 << 20  # characters per write
+
+
 def emit_csv(report: dict, path: str):
-    """Write the report's tabular section; a float is the text of format(v, ".17g")."""
+    """Write the report's tabular section; a float is the text of format(v, ".17g").
+
+    The text goes out a chunk at a time: a text file's write of one large
+    string first copies all of it to bytes.
+    """
+    text = report["csv"]
     with open(path, "w", newline="") as fh:
-        fh.write(report["csv"])
+        for start in range(0, len(text), _WRITE_CHUNK):
+            fh.write(text[start:start + _WRITE_CHUNK])
 
 
 # config field -> the flag that overrides it, offered by the commands whose table has the field

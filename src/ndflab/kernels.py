@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csv
 from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, psd_tolerance
 from .distributions import DiscreteDistribution, _check_dims, _pair_values
 
@@ -104,5 +103,7 @@ def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, fl
 
 def gram_to_csv(matrix) -> str:
     """Row-major CSV with a header row of point indices; each entry is the text of format(v, ".17g")."""
+    from . import _csv  # on first use: a command that writes no matrix does not load it
+
     mat = np.asarray(matrix, dtype=float)
     return _csv.rows(mat, head=",".join(str(i) for i in range(mat.shape[1])) + "\n")

@@ -371,6 +371,13 @@ class TestMain:
         header = out.read_text().splitlines()[0]
         assert header == "psi_id,law_id,e_minus,e_plus,gap,method,n_samples,stderr,seed"
 
+    def test_csv_longer_than_a_write_chunk_is_written_unchanged(self, tmp_path):
+        text = "".join(f"{i},{i / 7!r}\n" for i in range(2 * cli._WRITE_CHUNK // 20))
+        assert len(text) > 2 * cli._WRITE_CHUNK
+        out = tmp_path / "r.csv"
+        cli.emit_csv({"csv": text}, str(out))
+        assert out.read_bytes() == text.encode("ascii")
+
     def test_exit_2_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
