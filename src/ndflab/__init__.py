@@ -43,12 +43,10 @@ from .distributions import (
 from .kernels import GramResult, gram_matrix, psd_check, sine_decomposition_check, variance_identity
 from .bbm import (
     BbmParams,
-    GridPath,
     bbm_cov_matrix,
     bbm_covariance,
     bbm_sample_paths,
     empirical_covariance,
-    kernel_bbm_identity_gap,
 )
 from .mc import (
     ConvolutionSampler,

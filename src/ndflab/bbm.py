@@ -1,4 +1,4 @@
-"""Bifractional Brownian motion: covariance, exact grid sampling, kernel identity.
+"""Bifractional Brownian motion: covariance and exact grid sampling.
 
 The centred Gaussian process B^{H,K} has covariance
 
@@ -7,7 +7,10 @@ The centred Gaussian process B^{H,K} has covariance
 and exists for (H, K) in D = {0 < H <= 1, 0 < K <= 2, H*K <= 1}.  With
 H = 1/2 and K = alpha in (0, 2], the signed and scaled process
 2**(alpha/2) * sgn(xi) * B_{|xi|} has covariance |xi+eta|^alpha - |xi-eta|^alpha,
-i.e. exactly the kernel of ``|.|^alpha`` from the kernel lab.
+i.e. exactly the kernel of ``|.|^alpha`` from the kernel lab: on times
+t, s >= 0, ``2**alpha * bbm_cov_matrix`` is the Gram matrix of
+``EuclideanPower(alpha, 1)``.  Sampled paths are a plain
+``(n_paths, len(grid))`` array.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from .core import psd_tolerance
 
 __all__ = [
     "BbmParams",
-    "GridPath",
     "bbm_covariance",
     "bbm_cov_matrix",
     "bbm_sample_paths",
     "empirical_covariance",
-    "kernel_bbm_identity_gap",
     "paths_to_csv",
 ]
 
@@ -46,30 +47,6 @@ class BbmParams:
             raise ValueError(f"K must lie in (0, 2], got {self.k}")
         if self.h * self.k > 1.0:
             raise ValueError(f"H*K must be <= 1, got {self.h * self.k}")
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """Sampled paths on a time grid: values[i, j] = path i at grid[j]."""
-
-    grid: np.ndarray  # (m,)
-    values: np.ndarray  # (n_paths, m)
-    seed: int
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.shape[0]:
-            raise ValueError("values must be (n_paths, len(grid))")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -104,10 +81,11 @@ def bbm_cov_matrix(params: BbmParams, grid) -> np.ndarray:
     return cov
 
 
-def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> GridPath:
+def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> np.ndarray:
     """Exact Gaussian sampling on a grid via eigendecomposition of the covariance.
 
-    Eigenvalues in [-tol, 0) are clipped to zero (the covariance is
+    Returns an (n_paths, len(grid)) array: row i is path i at the grid
+    times.  Eigenvalues in [-tol, 0) are clipped to zero (the covariance is
     numerically semi-definite near the boundary of the existence
     domain); anything below -tol raises.
     """
@@ -127,35 +105,21 @@ def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> GridPa
     values = z @ root.T
     if g[0] == 0.0:
         values[:, 0] = 0.0  # R(0, .) = 0, paths start at the origin exactly
-    return GridPath(grid=g, values=values, seed=seed)
+    return values
 
 
-def empirical_covariance(paths: GridPath) -> np.ndarray:
-    """Unbiased sample covariance across paths, per grid-point pair."""
-    if paths.n_paths < 2:
+def empirical_covariance(paths) -> np.ndarray:
+    """Unbiased sample covariance across the rows of a paths array, per grid-point pair."""
+    if len(paths) < 2:
         raise ValueError("need at least two paths")
-    return np.cov(paths.values, rowvar=False, ddof=1)
+    return np.cov(paths, rowvar=False, ddof=1)
 
 
-def _sgn(x: float) -> float:
-    return float(np.sign(x))
-
-
-def kernel_bbm_identity_gap(alpha: float, xi: float, eta: float) -> float:
-    """|2^alpha sgn(xi) sgn(eta) R^{1/2,alpha}(|xi|,|eta|) - (|xi+eta|^alpha - |xi-eta|^alpha)|."""
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    params = BbmParams(h=0.5, k=alpha)
-    lhs = 2.0**alpha * _sgn(xi) * _sgn(eta) * bbm_covariance(params, abs(xi), abs(eta))
-    rhs = abs(xi + eta) ** alpha - abs(xi - eta) ** alpha
-    return abs(lhs - rhs)
-
-
-def paths_to_csv(paths: GridPath) -> str:
-    """CSV with the grid times as the first row, one path per subsequent row.
+def paths_to_csv(grid, paths) -> str:
+    """CSV with the grid times as the first row, one row of ``paths`` per subsequent row.
 
     Each entry is the text of format(v, ".17g").
     """
     from . import _csv  # on first use: a command that writes no matrix does not load it
 
-    return _csv.rows(paths.values, head=_csv.rows(paths.grid[None, :]))
+    return _csv.rows(paths, head=_csv.rows(np.asarray(grid, dtype=float)[None, :]))

@@ -21,6 +21,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import traceback
 
@@ -37,14 +38,6 @@ from .mc import SAMPLERS
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _finite_number(text: str) -> float:
-    """JSON float hook: NaN, Infinity and overflowing literals are config errors."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite number {text} in config")
-    return value
 
 
 def _hash(obj) -> str:
@@ -209,11 +202,11 @@ def _run_simulate_bbm(h, k, grid, n_paths, seed, command=None):
     results = {
         "h": params.h,
         "k": params.k,
-        "n_paths": paths.n_paths,
-        "n_grid": int(paths.grid.size),
+        "n_paths": paths.shape[0],
+        "n_grid": paths.shape[1],
         "seed": seed,
     }
-    return results, True, bbm_mod.paths_to_csv(paths)
+    return results, True, bbm_mod.paths_to_csv(grid, paths)
 
 
 def _run_signed_sum(psi, pattern, command=None, **law):
@@ -263,6 +256,9 @@ for _name, _record in COMMANDS.items():
 def run(command: str, config: dict) -> dict:
     """Decode one experiment config, which runs its command; returns the report dict."""
     results, passed, csv_text = decode(COMMANDS[command], config)
+    for name, value in results.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"result {name} is not finite: {value}")
     return {
         "command": command,
         "config_hash": _hash(config),
@@ -328,7 +324,7 @@ def _main(args) -> int:
         return 2
     try:
         with open(args.config) as fh:
-            config = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            config = json.load(fh)  # decode rejects NaN, Infinity and overflowing literals
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
@@ -336,8 +332,8 @@ def _main(args) -> int:
         if isinstance(config, dict):  # decode rejects any other value as it stands
             config.update({field: getattr(args, field) for field in _OVERRIDES
                            if getattr(args, field, None) is not None})
-        # psi may overflow on extreme inputs; non-finite results are rejected
-        # (by mc._estimate, and by allow_nan=False below), so numpy's warnings
+        # psi may overflow on extreme inputs; mc._estimate and run reject a non-finite
+        # result (allow_nan=False below is the backstop), so numpy's warnings
         # would only add noise before the one error line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             report = run(args.command, config)

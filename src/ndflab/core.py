@@ -14,6 +14,7 @@ over point batches is the primitive, with scalar wrappers on top.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 import re
@@ -436,10 +437,10 @@ def decode(kind, value, path: tuple = (), depth: int = 0):
     """Check ``value`` against ``kind`` at every depth and return it built.
 
     Values of integer kinds come back as int, and records built by their
-    constructors.  A misfit, or nesting past MAX_DEPTH, raises ConfigError
-    naming the path of the field at fault; a constructor's ValueError is
-    raised as a ConfigError naming its record's path, with the error as
-    its ``__cause__``.
+    constructors.  A misfit, a number that is not finite, or nesting past
+    MAX_DEPTH raises ConfigError naming the path of the field at fault; a
+    constructor's ValueError is raised as a ConfigError naming its record's
+    path, with the error as its ``__cause__``.
     """
     actual = _json_type(value)
     if actual in ("array", "object") and depth >= MAX_DEPTH:
@@ -455,8 +456,8 @@ def decode(kind, value, path: tuple = (), depth: int = 0):
         kinds = kind.get("prefixItems") or [kind["items"]] * len(value)
         if len(value) > len(kinds):
             raise _error(path, f"expected at most {len(kinds)} items, got {len(value)}")
-        if kind.get("items") is NUMBER and all(type(v) is float or type(v) is int for v in value):
-            return value  # a plain vector, checked in one pass
+        if kind.get("items") is NUMBER and all(type(v) in (float, int) and math.isfinite(v) for v in value):
+            return value  # a plain finite vector, checked in one pass
         return [decode(k, v, path + (i,), depth + 1) for i, (k, v) in enumerate(zip(kinds, value))]
     if actual == "string":
         if value != kind.get("const", value):
@@ -464,6 +465,8 @@ def decode(kind, value, path: tuple = (), depth: int = 0):
         if not re.search(kind.get("pattern", ""), value):
             raise _error(path, f"{value!r} does not match {kind['pattern']}")
         return value
+    if actual == "number" and not math.isfinite(value):  # NaN, Infinity or an overflowing literal
+        raise _error(path, f"expected a finite number, got {value!r}")
     if value not in kind.get("enum", [value]):
         raise _error(path, f"expected one of {kind['enum']}, got {value!r}")
     for key, holds in _BOUNDS.items():
@@ -518,8 +521,9 @@ def encode(kind, value):
 def json_schema(kind) -> dict:
     """The JSON Schema (draft 2020-12) of what ``kind`` decodes, families under ``$defs``.
 
-    It states every check of :func:`decode` but the depth cap and the
-    constructors' invariants across fields.
+    It states every check of :func:`decode` but the depth cap, finiteness
+    (JSON has no non-finite numbers) and the constructors' invariants
+    across fields.
     """
     defs = {}
 

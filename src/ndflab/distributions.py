@@ -247,7 +247,8 @@ def counterexample_gap_closed_form(params: CounterexampleParams) -> float:
     """
     if params.m < 1.0:
         raise ValueError("the closed form assumes M >= 1")
-    return _counterexample_gap(params.alpha, params.c, params.m)
+    # in float64, so a power out of range gives inf or nan rather than OverflowError
+    return float(_counterexample_gap(params.alpha, params.c, np.float64(params.m)))
 
 
 def _counterexample_gap(alpha, c, m):
@@ -300,21 +301,24 @@ def tail_identity_check(dist: DiscreteDistribution) -> tuple[float, float]:
 
 
 def _tail_integral(dist: DiscreteDistribution) -> float:
-    """2 * int_0^inf [P(X>r) - P(X<-r)]^2 dr, the right side of the tail identity."""
+    """2 * int_0^inf [P(X>r) - P(X<-r)]^2 dr, the right side of the tail identity.
+
+    On (b_{j-1}, b_j) between breaks of {0} u {|x_i|}, X > r (X < -r) exactly
+    for the positive (negative) atoms with |x| >= b_j: a suffix sum of weight
+    after one stable sort by |x|, read at the first atom of each break.
+    """
     if dist.dim != 1:
         raise DimensionMismatch("tail identity is one-dimensional")
     x = dist.atoms[:, 0]
-    w = dist.weights
-    breaks = np.unique(np.abs(x))
-    edges = np.concatenate([[0.0], breaks])
-    rhs = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi == lo:
-            continue
-        r = 0.5 * (lo + hi)  # integrand constant on (lo, hi)
-        g = w[x > r].sum() - w[x < -r].sum()
-        rhs += (hi - lo) * g * g
-    return float(2.0 * rhs)
+    order = np.argsort(np.abs(x), kind="stable")
+    x, w = x[order], dist.weights[order]
+    size = np.abs(x)
+    first = np.flatnonzero(np.r_[True, size[1:] != size[:-1]])  # where each break's atoms start
+    breaks = size[first]
+    above = np.cumsum(np.where(x > 0, w, 0.0)[::-1])[::-1]
+    below = np.cumsum(np.where(x < 0, w, 0.0)[::-1])[::-1]
+    g = above[first] - below[first]
+    return float(2.0 * np.sum(np.diff(breaks, prepend=0.0) * g * g))
 
 
 def ess_bounds_check(dist: DiscreteDistribution) -> tuple[float, float]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, psd_tolerance
+from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, kernel_kpsi, psd_tolerance
 from .distributions import DiscreteDistribution, _check_dims, _pair_values
 
 __all__ = [
@@ -65,8 +65,9 @@ def psd_check(matrix, tol: float | None = None) -> GramResult:
 def sine_decomposition_check(psi: NdfSpec, xi, eta) -> tuple[float, float]:
     """(direct, decomposed) values of the kernel for a triplet-built psi.
 
-    decomposed = 2 <Q xi, eta> + 2 sum_k sin<xi, u_k> sin<eta, u_k> m_k,
-    which must equal psi(xi+eta) - psi(xi-eta).
+    direct is :func:`kernel_kpsi`, psi(xi+eta) - psi(xi-eta), and
+    decomposed = 2 <Q xi, eta> + 2 sum_k sin<xi, u_k> sin<eta, u_k> m_k
+    must equal it.
     """
     if not isinstance(psi, FromTriplet):
         raise TypeError("sine decomposition needs an explicit Levy triplet")
@@ -76,9 +77,7 @@ def sine_decomposition_check(psi: NdfSpec, xi, eta) -> tuple[float, float]:
     decomposed = 2.0 * float(xi @ t.q @ eta)
     for u, m in t.atoms:
         decomposed += 2.0 * m * np.sin(xi @ u) * np.sin(eta @ u)
-    vals = psi.eval_many(np.stack([xi + eta, xi - eta]))
-    direct = float(vals[0] - vals[1])
-    return direct, float(decomposed)
+    return kernel_kpsi(psi, xi, eta), float(decomposed)
 
 
 def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, float, float]:

@@ -7,7 +7,8 @@ which makes the gap estimator far tighter than two independent runs.
 :func:`mc_inequality_verdict` is the one estimator.  It streams chunks of
 ``_CHUNK`` samples from one generator, drawing x then y per chunk and
 folding exact (count, mean, M2) triples, so memory is O(_CHUNK * dim),
-times m for a sampler of m-fold sums.  A signed sum with m plus and m minus
+times m for a sampler of m-fold sums.  Its verdict carries the mean and
+standard error of each side; the sample count and seed are the caller's.  A signed sum with m plus and m minus
 signs is the pair check on the m-fold sum,
 ``mc_inequality_verdict(psi, ConvolutionSampler(spec, m), n, seed)``.
 
@@ -182,8 +183,6 @@ class McEstimate:
 
     mean: float
     stderr: float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -246,12 +245,12 @@ def _combine(s1, s2):
     return n, mean, m2
 
 
-def _estimate(stats, seed: int) -> McEstimate:
+def _estimate(stats) -> McEstimate:
     n, mean, m2 = stats
     stderr = float(np.sqrt(m2 / (n - 1) / n))
     if not (np.isfinite(mean) and np.isfinite(stderr)):
         raise ValueError(f"Monte Carlo estimate is not finite: mean {mean}, stderr {stderr}")
-    return McEstimate(mean=mean, stderr=stderr, n_samples=n, seed=seed)
+    return McEstimate(mean=mean, stderr=stderr)
 
 
 def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
@@ -271,7 +270,7 @@ def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
         # the difference gives the paired variance
         stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
         acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
-    est_minus, est_plus, diff = (_estimate(s, seed) for s in acc)
+    est_minus, est_plus, diff = (_estimate(s) for s in acc)
     if diff.stderr == 0.0:
         z = 0.0 if diff.mean == 0.0 else float(np.sign(diff.mean)) * float("inf")
     else:

@@ -8,11 +8,11 @@ from ndflab import (
     bbm_covariance,
     bbm_sample_paths,
     empirical_covariance,
-    kernel_bbm_identity_gap,
+    gram_matrix,
     kernel_kpsi,
     psd_check,
 )
-from ndflab.bbm import GridPath, _cov, paths_to_csv
+from ndflab.bbm import _cov, paths_to_csv
 
 
 class TestParams:
@@ -91,63 +91,56 @@ class TestSampling:
         grid = [0.5, 1.0, 1.5]
         a = bbm_sample_paths(params, grid, 10, seed=7)
         b = bbm_sample_paths(params, grid, 10, seed=7)
-        np.testing.assert_array_equal(a.values, b.values)
+        assert a.shape == (10, 3)
+        np.testing.assert_array_equal(a, b)
 
     def test_zero_at_origin(self):
         paths = bbm_sample_paths(BbmParams(0.5, 1.0), [0.0, 1.0, 2.0], 20, seed=1)
-        np.testing.assert_array_equal(paths.values[:, 0], 0.0)
+        np.testing.assert_array_equal(paths[:, 0], 0.0)
 
     def test_brownian_empirical_covariance(self):
         grid = np.array([0.5, 1.0, 1.5])
         paths = bbm_sample_paths(BbmParams(0.5, 1.0), grid, 100_000, seed=2)
         emp = empirical_covariance(paths)
         target = np.minimum.outer(grid, grid)
-        v = paths.values
         for i in range(3):
             for j in range(3):
-                prod = v[:, i] * v[:, j]
+                prod = paths[:, i] * paths[:, j]
                 stderr = prod.std(ddof=1) / np.sqrt(prod.size)
                 assert abs(emp[i, j] - target[i, j]) <= 5 * stderr
 
     def test_empirical_covariance_edge_cases(self):
-        zero = GridPath(grid=np.array([1.0, 2.0]), values=np.zeros((5, 2)), seed=0)
-        np.testing.assert_array_equal(empirical_covariance(zero), 0.0)
-        twin = GridPath(grid=np.array([1.0, 2.0]), values=np.tile([1.0, 3.0], (2, 1)), seed=0)
+        np.testing.assert_array_equal(empirical_covariance(np.zeros((5, 2))), 0.0)
+        twin = np.tile([1.0, 3.0], (2, 1))
         assert np.linalg.matrix_rank(empirical_covariance(twin) + 1e-30) <= 1
         with pytest.raises(ValueError):
-            empirical_covariance(GridPath(np.array([1.0]), np.zeros((1, 1)), 0))
+            empirical_covariance(np.zeros((1, 1)))
 
 
 class TestKernelIdentity:
-    def test_zero_argument(self):
-        assert kernel_bbm_identity_gap(1.0, 0.0, 3.0) == 0.0
-        assert kernel_bbm_identity_gap(1.0, 3.0, 0.0) == 0.0
+    """2^alpha sgn(xi) sgn(eta) R^{1/2,alpha}(|xi|, |eta|) = |xi+eta|^alpha - |xi-eta|^alpha."""
 
     def test_alpha_2(self):
-        assert kernel_bbm_identity_gap(2.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_mixed_signs(self):
-        assert kernel_bbm_identity_gap(1.0, 2.0, -3.0) == pytest.approx(0.0, abs=1e-13)
-
-    def test_rejects_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            kernel_bbm_identity_gap(2.5, 1.0, 1.0)
+        lhs = 2.0**2 * bbm_covariance(BbmParams(0.5, 2.0), 1.0, 1.0)
+        assert lhs == pytest.approx(kernel_kpsi(EuclideanPower(2.0, 1), 1.0, 1.0), abs=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_grid(self, alpha):
-        xs = np.linspace(-5.0, 5.0, 50)
-        for xi in xs:
-            for eta in xs:
-                gap = kernel_bbm_identity_gap(alpha, xi, eta)
-                assert gap <= 1e-12 * (1.0 + abs(xi) + abs(eta)) ** alpha
+        # on times t, s >= 0 the signs drop: 2^K R^{1/2,K} is the Gram matrix of |x|^K
+        t = np.linspace(0.0, 5.0, 51)[1:]
+        cov = 2.0**alpha * bbm_cov_matrix(BbmParams(0.5, alpha), t)
+        gram = gram_matrix(EuclideanPower(alpha, 1), t)
+        assert np.max(np.abs(cov - gram)) <= 1e-12 * np.max(np.abs(gram))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_matches_kernel_kpsi(self, alpha):
         psi = EuclideanPower(alpha, 1)
         params = BbmParams(0.5, alpha)
         rng = np.random.default_rng(43)
-        for _ in range(100):
-            xi, eta = rng.uniform(-5.0, 5.0, size=2)
+        # a zero argument, where sgn is 0, and fixed mixed signs, then random pairs
+        pairs = [(0.0, 3.0), (3.0, 0.0), (0.0, 0.0), (2.0, -3.0), (-2.0, 3.0), (-2.0, -3.0),
+                 *rng.uniform(-5.0, 5.0, size=(100, 2))]
+        for xi, eta in pairs:
             lhs = 2.0**alpha * np.sign(xi * eta) * bbm_covariance(params, abs(xi), abs(eta))
             assert lhs == pytest.approx(
                 kernel_kpsi(psi, xi, eta), abs=1e-12 * (1 + abs(xi) + abs(eta)) ** alpha
@@ -156,15 +149,16 @@ class TestKernelIdentity:
 
 def test_paths_csv_layout():
     paths = bbm_sample_paths(BbmParams(0.5, 1.0), [1.0, 2.0], 3, seed=5)
-    lines = paths_to_csv(paths).strip().split("\n")
+    lines = paths_to_csv([1.0, 2.0], paths).strip().split("\n")
     assert lines[0] == "1,2"
     assert len(lines) == 4
 
 
 def test_paths_csv_matches_the_template_on_a_large_matrix():
-    paths = bbm_sample_paths(BbmParams(0.6, 0.9), np.linspace(0.0, 2.0, 801)[1:], 100, seed=7)
+    grid = np.linspace(0.0, 2.0, 801)[1:]
+    paths = bbm_sample_paths(BbmParams(0.6, 0.9), grid, 100, seed=7)
     line = ",".join(["%.17g"] * 800) + "\n"  # the per-row template used before the vectorised formatter
-    assert paths_to_csv(paths) == "".join(line % tuple(row.tolist()) for row in (paths.grid, *paths.values))
+    assert paths_to_csv(grid, paths) == "".join(line % tuple(row.tolist()) for row in (grid, *paths))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

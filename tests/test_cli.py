@@ -121,9 +121,11 @@ def schema_agrees_with_the_decoder(monkeypatch):
     """Every config a test here hands to the CLI is checked against --schema too.
 
     The generated schema must accept exactly the configs that the command
-    tables accept.  JSON Schema cannot state two of the decoder's checks,
-    so configs they reject are exempt: the depth cap, and the errors of
-    a constructor or handler (a ConfigError whose ``__cause__`` is set).
+    tables accept.  JSON Schema cannot state three of the decoder's checks,
+    so configs they reject are exempt: the depth cap, finiteness (JSON has
+    no NaN or Infinity, and a float64 overflow loads as Infinity), and the
+    errors of a constructor or handler (a ConfigError whose ``__cause__``
+    is set).
     """
     seen = []
     decode_config = cli.decode
@@ -133,7 +135,8 @@ def schema_agrees_with_the_decoder(monkeypatch):
         try:
             built = decode_config(kind, config)
         except ConfigError as exc:
-            if exc.__cause__ is None and "nested deeper than" not in str(exc):
+            if exc.__cause__ is None and not any(
+                    text in str(exc) for text in ("nested deeper than", "expected a finite number")):
                 seen.append((command, config, False))
             raise
         except Exception:
@@ -399,7 +402,15 @@ class TestMain:
             f'"sampler": {{"type": "gaussian_iso", "dim": 1, "sigma": {sigma}, "mean": [0]}}}}'
         )
         assert main(["verify-inequality", "--config", str(path)]) == 2
-        assert f"non-finite number {sigma} in config" in capsys.readouterr().err
+        assert "error: config field sampler/sigma: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_vector_entry_is_named(self, tmp_path, capsys, literal):
+        path = tmp_path / "c.json"
+        path.write_text('{"distribution": {"atoms": [[0], [1]], '
+                        f'"weights": [0.5, {literal}]}}}}')
+        assert main(["tail-identity", "--config", str(path)]) == 2
+        assert "error: config field distribution/weights/1: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exit_2_monte_carlo_overflow(self, tmp_path):
@@ -414,7 +425,25 @@ class TestMain:
         law = {"atoms": [[1e200], [-1e200]], "weights": [0.5, 0.5]}
         cfg = write(tmp_path, "c.json", {"psi": psi, "distribution": law})
         assert main(["verify-inequality", "--config", cfg]) == 2
-        assert "Out of range float" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: result e_minus is not finite: inf\n"
+
+    @pytest.mark.parametrize(
+        "command,config,message",
+        [
+            ("variance-identity", {"psi": PSI_SQUARE, "distribution": {
+                "atoms": [[1e200], [-1e200]], "weights": [0.5, 0.5]}}, "result quadratic_form is not finite"),
+            ("tail-identity", {"distribution": {
+                "atoms": [[1e308], [-1.5e308]], "weights": [0.5, 0.5]}}, "result lhs is not finite"),
+            # (M + 1)^alpha overflows in the closed form
+            ("counterexample", {"alpha": 3, "c": 1, "m": 1e120}, "result gap_closed_form is not finite"),
+        ],
+    )
+    def test_exit_2_names_a_non_finite_result(self, tmp_path, capsys, command, config, message):
+        cfg = write(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize(
         "command,config,matrix",
@@ -462,7 +491,7 @@ class TestMain:
         assert main(["tail-identity", "--config", tail]) == 0
 
     def test_exit_2_float_overflow(self, tmp_path):
-        # (M + 1)^alpha overflows a Python float in the closed form
+        # (M + 1)^alpha overflows float64 in the closed form
         cfg = write(tmp_path, "c.json", {"alpha": 3, "c": 1, "m": 1e300})
         assert main(["counterexample", "--config", cfg]) == 2
 

@@ -25,7 +25,7 @@ from ndflab import (
     tail_identity_check,
 )
 from ndflab.core import decode, encode
-from ndflab.distributions import DISTRIBUTION, _pair_values
+from ndflab.distributions import DISTRIBUTION, _pair_values, _tail_integral
 from randgen import random_distribution, random_ndf_spec, random_sign_pattern
 
 ABS1 = EuclideanPower(1.0, 1)
@@ -202,7 +202,36 @@ class TestCounterexample:
             counterexample_search(3.0, 2.0, [1.0, 5.0])
 
 
+def _tail_integral_loop(dist):
+    """The reference: a loop over the pieces between breaks, reading the integrand at each midpoint."""
+    x, w = dist.atoms[:, 0], dist.weights
+    edges = np.concatenate([[0.0], np.unique(np.abs(x))])
+    rhs = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi == lo:
+            continue
+        r = 0.5 * (lo + hi)  # integrand constant on (lo, hi)
+        g = w[x > r].sum() - w[x < -r].sum()
+        rhs += (hi - lo) * g * g
+    return float(2.0 * rhs)
+
+
+# small integers give ties in |x| and atoms at 0; floats give distinct breaks
+TAIL_ATOMS = st.one_of(st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=20),
+                       st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20))
+
+
 class TestTailIdentity:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(values=TAIL_ATOMS, raw=st.lists(st.floats(0.01, 1.0), min_size=20, max_size=20),
+           scale=st.sampled_from([1e-3, 1.0, 7.5, 1e5]))
+    def test_sorted_pass_matches_the_loop(self, values, raw, scale):
+        w = np.array(raw[:len(values)])
+        law = DiscreteDistribution(np.array(values)[:, None] * scale, w / w.sum())
+        size = float(np.max(np.abs(law.atoms)))
+        bound = 4 * law.n_atoms * np.finfo(float).eps * size
+        assert abs(_tail_integral(law) - _tail_integral_loop(law)) <= bound
+
     def test_symmetric(self):
         p = DiscreteDistribution(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
         lhs, rhs = tail_identity_check(p)
