@@ -120,9 +120,23 @@ class TestSampling:
 class TestKernelIdentity:
     """2^alpha sgn(xi) sgn(eta) R^{1/2,alpha}(|xi|, |eta|) = |xi+eta|^alpha - |xi-eta|^alpha."""
 
+    @staticmethod
+    def _gap(alpha, xi, eta):
+        lhs = 2.0**alpha * np.sign(xi * eta) * bbm_covariance(BbmParams(0.5, alpha), abs(xi), abs(eta))
+        return abs(lhs - kernel_kpsi(EuclideanPower(alpha, 1), xi, eta))
+
+    def test_zero_argument(self):
+        # sgn(0) = 0 on the left, |eta|^alpha - |eta|^alpha = 0 on the right
+        assert self._gap(1.0, 0.0, 3.0) == 0.0
+        assert self._gap(1.0, 3.0, 0.0) == 0.0
+
     def test_alpha_2(self):
         lhs = 2.0**2 * bbm_covariance(BbmParams(0.5, 2.0), 1.0, 1.0)
         assert lhs == pytest.approx(kernel_kpsi(EuclideanPower(2.0, 1), 1.0, 1.0), abs=1e-14)
+
+    def test_mixed_signs(self):
+        for xi, eta in [(2.0, -3.0), (-2.0, 3.0), (-2.0, -3.0)]:
+            assert self._gap(1.0, xi, eta) == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_grid(self, alpha):
@@ -137,10 +151,7 @@ class TestKernelIdentity:
         psi = EuclideanPower(alpha, 1)
         params = BbmParams(0.5, alpha)
         rng = np.random.default_rng(43)
-        # a zero argument, where sgn is 0, and fixed mixed signs, then random pairs
-        pairs = [(0.0, 3.0), (3.0, 0.0), (0.0, 0.0), (2.0, -3.0), (-2.0, 3.0), (-2.0, -3.0),
-                 *rng.uniform(-5.0, 5.0, size=(100, 2))]
-        for xi, eta in pairs:
+        for xi, eta in [(0.0, 0.0), *rng.uniform(-5.0, 5.0, size=(100, 2))]:
             lhs = 2.0**alpha * np.sign(xi * eta) * bbm_covariance(params, abs(xi), abs(eta))
             assert lhs == pytest.approx(
                 kernel_kpsi(psi, xi, eta), abs=1e-12 * (1 + abs(xi) + abs(eta)) ** alpha
