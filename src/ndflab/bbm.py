@@ -93,16 +93,16 @@ def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> np.nda
     if n_paths < 1:
         raise ValueError("need at least one path")
     cov = bbm_cov_matrix(params, g)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, root = np.linalg.eigh(cov)
     tol = psd_tolerance(g.size, max(float(cov.diagonal().max()), 1.0))
+    del cov
     if eigvals.min() < -tol:
         raise ValueError(
             f"covariance indefinite (min eigenvalue {eigvals.min():.3e} < -{tol:.3e})"
         )
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    root *= np.sqrt(np.clip(eigvals, 0.0, None))  # the eigenvectors, scaled in place
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal((n_paths, g.size))
-    values = z @ root.T
+    values = rng.standard_normal((n_paths, g.size)) @ root.T
     if g[0] == 0.0:
         values[:, 0] = 0.0  # R(0, .) = 0, paths start at the origin exactly
     return values
@@ -115,11 +115,14 @@ def empirical_covariance(paths) -> np.ndarray:
     return np.cov(paths, rowvar=False, ddof=1)
 
 
-def paths_to_csv(grid, paths) -> str:
-    """CSV with the grid times as the first row, one row of ``paths`` per subsequent row.
+def paths_to_csv(grid, paths, start: int = 0, stop: int | None = None) -> str:
+    """Rows ``start:stop`` of ``paths`` as CSV lines, after a line of the grid times when start is 0.
 
-    Each entry is the text of format(v, ".17g").
+    Each entry is the text of format(v, ".17g").  The whole CSV is the grid
+    times, then one line per path; the texts of consecutive row blocks
+    join into it.
     """
     from . import _csv  # on first use: a command that writes no matrix does not load it
 
-    return _csv.rows(paths, head=_csv.rows(np.asarray(grid, dtype=float)[None, :]))
+    head = _csv.rows(np.asarray(grid, dtype=float)[None, :]) if start == 0 else ""
+    return _csv.rows(np.asarray(paths, dtype=float)[start:stop], head=head)

@@ -49,10 +49,25 @@ def _single_row_csv(columns: list[str], values: list) -> str:
     return ",".join(columns) + "\n" + ",".join(cells) + "\n"
 
 
+_CSV_PIECE = 1 << 16  # matrix values per piece of a streamed CSV
+
+
+def _streamed_csv(to_csv, matrix):
+    """The CSV of ``matrix`` as an iterator of its texts, one block of rows each.
+
+    ``to_csv(matrix, start, stop)`` formats rows start:stop only when the
+    iterator reaches them, so a report that is never written formats no
+    matrix, and only one block's text is held at a time.
+    """
+    step = max(1, _CSV_PIECE // matrix.shape[1])
+    return (to_csv(matrix, start, start + step) for start in range(0, matrix.shape[0], step))
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each takes its config's fields, built, as keyword
-# arguments and returns (results, passed, csv_text); the optional
-# ``command`` field is checked by the table and ignored here
+# arguments and returns (results, passed, csv), csv being the text or, for
+# a matrix, an iterator of its texts; the optional ``command`` field is
+# checked by the table and ignored here
 # ---------------------------------------------------------------------------
 
 
@@ -132,7 +147,7 @@ def _run_check_kernel(psi, points, tolerance=None, command=None):
         "psd": result.psd,
         "tolerance": result.tol,
     }
-    return results, result.psd, kernel_mod.gram_to_csv(mat)
+    return results, result.psd, _streamed_csv(kernel_mod.gram_to_csv, mat)
 
 
 def _run_variance_identity(psi, distribution, tolerance=1e-10, command=None):
@@ -206,7 +221,7 @@ def _run_simulate_bbm(h, k, grid, n_paths, seed, command=None):
         "n_grid": paths.shape[1],
         "seed": seed,
     }
-    return results, True, bbm_mod.paths_to_csv(grid, paths)
+    return results, True, _streamed_csv(functools.partial(bbm_mod.paths_to_csv, grid), paths)
 
 
 def _run_signed_sum(psi, pattern, command=None, **law):
@@ -254,7 +269,11 @@ for _name, _record in COMMANDS.items():
 
 
 def run(command: str, config: dict) -> dict:
-    """Decode one experiment config, which runs its command; returns the report dict."""
+    """Decode one experiment config, which runs its command; returns the report dict.
+
+    Its ``csv`` is the CSV text, or for ``check-kernel`` and ``simulate-bbm``
+    an iterator of the text's pieces, formatted as :func:`emit_csv` takes them.
+    """
     results, passed, csv_text = decode(COMMANDS[command], config)
     for name, value in results.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -269,19 +288,15 @@ def run(command: str, config: dict) -> dict:
     }
 
 
-_WRITE_CHUNK = 1 << 20  # characters per write
-
-
 def emit_csv(report: dict, path: str):
     """Write the report's tabular section; a float is the text of format(v, ".17g").
 
-    The text goes out a chunk at a time: a text file's write of one large
-    string first copies all of it to bytes.
+    A matrix's CSV is formatted here, a block of rows at a time (see
+    :func:`_streamed_csv`), so its whole text is never held.
     """
-    text = report["csv"]
+    csv = report["csv"]
     with open(path, "w", newline="") as fh:
-        for start in range(0, len(text), _WRITE_CHUNK):
-            fh.write(text[start:start + _WRITE_CHUNK])
+        fh.writelines([csv] if isinstance(csv, str) else csv)
 
 
 # config field -> the flag that overrides it, offered by the commands whose table has the field

@@ -422,10 +422,13 @@ def _error(path: tuple, message: str) -> ConfigError:
     return ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _json_type(value) -> str:
     """The value's JSON type; integral floats are integers, as in JSON Schema."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return "integer" if float(value).is_integer() else "number"
+        return "integer" if isinstance(value, int) or float(value).is_integer() else "number"
     names = {bool: "boolean", str: "string", list: "array", dict: "object", type(None): "null"}
     return names.get(type(value), type(value).__name__)
 
@@ -456,7 +459,8 @@ def decode(kind, value, path: tuple = (), depth: int = 0):
         kinds = kind.get("prefixItems") or [kind["items"]] * len(value)
         if len(value) > len(kinds):
             raise _error(path, f"expected at most {len(kinds)} items, got {len(value)}")
-        if kind.get("items") is NUMBER and all(type(v) in (float, int) and math.isfinite(v) for v in value):
+        if kind.get("items") is NUMBER and all(type(v) in (float, int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+                                               for v in value):
             return value  # a plain finite vector, checked in one pass
         return [decode(k, v, path + (i,), depth + 1) for i, (k, v) in enumerate(zip(kinds, value))]
     if actual == "string":
@@ -467,6 +471,8 @@ def decode(kind, value, path: tuple = (), depth: int = 0):
         return value
     if actual == "number" and not math.isfinite(value):  # NaN, Infinity or an overflowing literal
         raise _error(path, f"expected a finite number, got {value!r}")
+    if actual == "integer" and not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # compared exactly, as an int
+        raise _error(path, "expected a finite number, got an integer beyond float64")
     if value not in kind.get("enum", [value]):
         raise _error(path, f"expected one of {kind['enum']}, got {value!r}")
     for key, holds in _BOUNDS.items():

@@ -100,9 +100,14 @@ def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, fl
     return float(w @ plus @ w), e_plus - e_minus, e_plus, e_minus
 
 
-def gram_to_csv(matrix) -> str:
-    """Row-major CSV with a header row of point indices; each entry is the text of format(v, ".17g")."""
+def gram_to_csv(matrix, start: int = 0, stop: int | None = None) -> str:
+    """Rows ``start:stop`` of the row-major CSV of ``matrix``; each entry is the text of format(v, ".17g").
+
+    The CSV's first line, a header of point indices, comes with row 0, so
+    the texts of consecutive row blocks join into the whole CSV.
+    """
     from . import _csv  # on first use: a command that writes no matrix does not load it
 
     mat = np.asarray(matrix, dtype=float)
-    return _csv.rows(mat, head=",".join(str(i) for i in range(mat.shape[1])) + "\n")
+    head = ",".join(str(i) for i in range(mat.shape[1])) + "\n" if start == 0 else ""
+    return _csv.rows(mat[start:stop], head=head)

@@ -6,11 +6,20 @@ inequality are evaluated on the same draws (common random numbers),
 which makes the gap estimator far tighter than two independent runs.
 :func:`mc_inequality_verdict` is the one estimator.  It streams chunks of
 ``_CHUNK`` samples from one generator, drawing x then y per chunk and
-folding exact (count, mean, M2) triples, so memory is O(_CHUNK * dim),
-times m for a sampler of m-fold sums.  Its verdict carries the mean and
-standard error of each side; the sample count and seed are the caller's.  A signed sum with m plus and m minus
-signs is the pair check on the m-fold sum,
+folding exact (count, mean, M2) triples in chunk order.  Its verdict
+carries the mean and standard error of each side; the sample count and
+seed are the caller's.  A signed sum with m plus and m minus signs is the
+pair check on the m-fold sum,
 ``mc_inequality_verdict(psi, ConvolutionSampler(spec, m), n, seed)``.
+
+Past the first chunk, one helper thread draws chunk i + 1 (x, y, x - y
+and x + y) while the caller evaluates psi on chunk i.  The generator is
+used by one thread at a time, in the same order, and the caller folds
+the chunks in order, so every estimate keeps every bit of a serial run.
+About two chunks are alive at a time, so memory is O(_CHUNK * dim),
+whatever the sample count; a sampler of m-fold sums adds its draws in row blocks of
+``_SUM_BLOCK`` draws.  A run of at most ``_CHUNK`` samples draws inline
+and starts no thread.
 
 A chunk makes as few passes over memory as its arithmetic allows, without
 changing a bit of it: Gaussian and uniform draws are scaled and shifted in
@@ -19,7 +28,10 @@ place, and deviations are squared in place.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +63,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_SUM_BLOCK = 1 << 14  # draws of the summand per block of ConvolutionSampler.draw
 
 CONSISTENT = "ConsistentHolds"
 VIOLATION = "ViolationDetected"
@@ -170,10 +183,17 @@ class ConvolutionSampler(SamplerSpec):
         return self.spec.dim
 
     def draw(self, rng, count):
-        draws = self.spec.draw(rng, count * self.m).reshape(count, self.m, self.dim)
-        total = draws[:, 0]  # a view of the fresh draws, so the adds may go in place
-        for j in range(1, self.m):
-            total += draws[:, j]
+        if self.m == 1:
+            return self.spec.draw(rng, count)
+        # a row's m draws are consecutive, so row blocks take the stream in its order
+        total = np.empty((count, self.dim))
+        step = max(1, _SUM_BLOCK // self.m)
+        for start in range(0, count, step):
+            rows = total[start:start + step]
+            draws = self.spec.draw(rng, len(rows) * self.m).reshape(len(rows), self.m, self.dim)
+            np.copyto(rows, draws[:, 0])
+            for j in range(1, self.m):
+                rows += draws[:, j]
         return total
 
 
@@ -253,6 +273,60 @@ def _estimate(stats) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr)
 
 
+def _pair_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
+    """(x - y, x + y) for ``count`` fresh draws of x, then ``count`` of y."""
+    x = spec.draw(rng, count)
+    y = spec.draw(rng, count)
+    difference = x - y
+    x += y  # x + y, in x's buffer
+    return difference, x
+
+
+def _drawn_ahead(draw, counts):
+    """Yield ``draw(count)`` for each count in turn, drawing the next on a helper thread.
+
+    While the caller works on one result, a single helper thread computes
+    the next, so about two are alive at a time (the caller's previous one
+    goes as it takes the next), and ``draw`` is called in order, one call
+    at a time.  The helper runs in a copy of the caller's context (its
+    ``np.errstate`` included), and an error it raises is raised again here.
+    Closing the generator stops and joins the helper.  A single count is
+    drawn inline, with no thread.
+    """
+    if len(counts) == 1:
+        yield draw(counts[0])
+        return
+    handoff = []  # the result just drawn, or the error drawing it raised
+    drawn, taken = threading.Semaphore(0), threading.Semaphore(0)
+    stop = threading.Event()
+
+    def helper():
+        for count in counts:
+            try:
+                handoff.append(draw(count))
+            except BaseException as exc:  # raised again in the caller
+                handoff.append(exc)
+            drawn.release()
+            taken.acquire()
+            if stop.is_set():
+                return
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,), daemon=True)
+    thread.start()
+    try:
+        for _ in counts:
+            drawn.acquire()
+            result = handoff.pop()
+            if isinstance(result, BaseException):
+                raise result
+            taken.release()  # the helper draws the next while the caller works on this one
+            yield result
+    finally:
+        stop.set()
+        taken.release()
+        thread.join()
+
+
 def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
                           z_threshold: float = 5.0) -> InequalityVerdict:
     """Statistical verdict on E psi(X-Y) <= E psi(X+Y) from paired samples."""
@@ -260,16 +334,15 @@ def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
         raise DimensionMismatch(f"psi has dimension {psi.dim}, sampler has {spec.dim}")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    rng = _rng(seed)
+    counts = [min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
+    chunks = _drawn_ahead(functools.partial(_pair_draws, spec, _rng(seed)), counts)
     acc = None
-    for start in range(0, n_samples, _CHUNK):
-        count = min(_CHUNK, n_samples - start)
-        x = spec.draw(rng, count)
-        y = spec.draw(rng, count)
-        minus, plus = psi.eval_many(x - y), psi.eval_many(x + y)
-        # the difference gives the paired variance
-        stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
-        acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
+    with contextlib.closing(chunks):
+        for difference, total in chunks:
+            minus, plus = psi.eval_many(difference), psi.eval_many(total)
+            # the difference gives the paired variance
+            stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
+            acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
     est_minus, est_plus, diff = (_estimate(s) for s in acc)
     if diff.stderr == 0.0:
         z = 0.0 if diff.mean == 0.0 else float(np.sign(diff.mean)) * float("inf")

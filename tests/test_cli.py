@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution, variance_identity
+from ndflab import bbm as bbm_mod
 from ndflab import cli
 from ndflab import distributions as dist_mod
+from ndflab import kernels as kernel_mod
+from ndflab import mc as mc_mod
 from ndflab.cli import _exact_check, main, run
 from ndflab.core import BERNSTEIN, MAX_DEPTH, NDF, ConfigError, canonical_dumps, decode, encode, json_schema
 from ndflab.distributions import DISTRIBUTION
@@ -205,8 +208,37 @@ class TestRun:
             {"h": 0.5, "k": 1.0, "grid": [0.5, 1.0], "n_paths": 4, "seed": 1},
         )
         assert report["passed"]
-        assert report["csv"].splitlines()[0] == "0.5,1"
-        assert len(report["csv"].splitlines()) == 5
+        text = "".join(report["csv"])  # the CSV comes in pieces, formatted as they are read
+        assert text.splitlines()[0] == "0.5,1"
+        assert len(text.splitlines()) == 5
+
+    @pytest.mark.parametrize("command,config,whole", [
+        ("check-kernel", {"psi": PSI_ABS, "points": [[i / 3 - 100.0] for i in range(600)]},
+         lambda c: kernel_mod.gram_to_csv(kernel_mod.gram_matrix(
+             decode(NDF, c["psi"]), np.array(c["points"])))),
+        ("simulate-bbm", {"h": 0.4, "k": 1.2, "grid": [0.01 * (i + 1) for i in range(700)], "n_paths": 250,
+                          "seed": 3},
+         lambda c: bbm_mod.paths_to_csv(c["grid"], bbm_mod.bbm_sample_paths(
+             bbm_mod.BbmParams(c["h"], c["k"]), c["grid"], c["n_paths"], c["seed"]))),
+    ])
+    def test_matrix_csv_is_written_in_pieces_that_join_into_the_whole_text(
+            self, tmp_path, monkeypatch, command, config, whole):
+        text = whole(config)
+        module, name = {"check-kernel": (kernel_mod, "gram_to_csv"), "simulate-bbm": (bbm_mod, "paths_to_csv")}[command]
+        to_csv, pieces = getattr(module, name), []
+
+        def recording(*args):
+            pieces.append(to_csv(*args))
+            return pieces[-1]
+
+        monkeypatch.setattr(module, name, recording)
+        cfg = write(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg]) == 0
+        assert pieces == []  # nothing is formatted without --out
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert len(pieces) > 2 and all(len(piece) < len(text) / 2 for piece in pieces)
+        assert "".join(pieces) == text and out.read_text() == text
 
     def test_signed_sum_exact(self):
         report = run(
@@ -374,12 +406,13 @@ class TestMain:
         header = out.read_text().splitlines()[0]
         assert header == "psi_id,law_id,e_minus,e_plus,gap,method,n_samples,stderr,seed"
 
-    def test_csv_longer_than_a_write_chunk_is_written_unchanged(self, tmp_path):
-        text = "".join(f"{i},{i / 7!r}\n" for i in range(2 * cli._WRITE_CHUNK // 20))
-        assert len(text) > 2 * cli._WRITE_CHUNK
+    def test_csv_pieces_are_written_unchanged(self, tmp_path):
+        text = "".join(f"{i},{i / 7!r}\n" for i in range(100_000))
+        pieces = [text[i:i + 300_001] for i in range(0, len(text), 300_001)]
         out = tmp_path / "r.csv"
-        cli.emit_csv({"csv": text}, str(out))
-        assert out.read_bytes() == text.encode("ascii")
+        for csv in (text, iter(pieces)):
+            cli.emit_csv({"csv": csv}, str(out))
+            assert out.read_bytes() == text.encode("ascii")
 
     def test_exit_2_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -481,6 +514,29 @@ class TestMain:
         assert caught == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_overflow_in_a_drawn_ahead_chunk_prints_only_the_error_line(self, tmp_path, capsys):
+        # the helper thread draws every chunk of this run under the caller's np.errstate
+        sampler = {"type": "gaussian_iso", "dim": 1, "sigma": 1e308, "mean": [0.0]}
+        cfg = write(tmp_path, "c.json", {"psi": PSI_SQUARE, "sampler": sampler,
+                                         "n_samples": 2 * mc_mod._CHUNK + 1, "seed": 1})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify-inequality", "--config", cfg]) == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "RuntimeWarning" not in err[0]
+
+    @pytest.mark.parametrize("field,config", [
+        ("tolerance", '{"distribution": {"atoms": [[0], [1]], "weights": [0.5, 0.5]}, "tolerance": 1%s}'),
+        ("distribution/atoms/1/0", '{"distribution": {"atoms": [[0], [-1%s]], "weights": [0.5, 0.5]}}'),
+    ])
+    def test_integer_beyond_float64_names_its_field(self, tmp_path, capsys, field, config):
+        path = tmp_path / "c.json"
+        path.write_text(config % ("0" * 400))
+        assert main(["tail-identity", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config field {field}: expected a finite number, got an integer beyond float64\n")
 
     def test_parser_is_built_once(self, tmp_path):
         assert cli._build_parser() is cli._build_parser()
@@ -679,5 +735,13 @@ class TestSchema:
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import ndflab.cli; "
                 "print('jsonschema' in sys.modules)")
+        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_concurrent_futures_out(self):
+        # the Monte Carlo helper thread is a plain threading.Thread
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import ndflab.cli; "
+                "print('concurrent.futures' in sys.modules)")
         out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import functools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +30,9 @@ from ndflab.core import NDF, decode, encode
 from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import (
     _CHUNK,
+    _SUM_BLOCK,
+    _drawn_ahead,
+    _pair_draws,
     CONSISTENT,
     ConvolutionSampler,
     INCONCLUSIVE,
@@ -173,9 +179,10 @@ class TestSignedSum:
     def test_sum_sampler_adds_consecutive_draws_in_order(self):
         spec = UniformBox([0.0, -1.0], [2.0, 1.0])
         np.testing.assert_array_equal(sample(ConvolutionSampler(spec, 1), 5, 300), sample(spec, 5, 300))
-        draws = sample(spec, 5, 900).reshape(300, 3, 2)
+        count = 3 * (_SUM_BLOCK // 3) + 5  # the draws are added in 4 row blocks
+        draws = sample(spec, 5, 3 * count).reshape(count, 3, 2)
         expected = draws[:, 0] + draws[:, 1] + draws[:, 2]
-        np.testing.assert_array_equal(sample(ConvolutionSampler(spec, 3), 5, 300), expected)
+        np.testing.assert_array_equal(sample(ConvolutionSampler(spec, 3), 5, count), expected)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -317,6 +324,78 @@ class TestStreaming:
         assert 3 * _CHUNK < 200_001  # x and y are drawn in each of 4 chunks
         mc_inequality_verdict(RawAbsPower(3.0), spec, 200_001, 6)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("n", [100, _CHUNK])
+    def test_one_chunk_is_drawn_inline(self, monkeypatch, n):
+        monkeypatch.setattr(threading, "Thread", None)  # starting a thread would raise
+        mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), n, 7)
+
+    def test_later_chunks_are_drawn_on_one_helper_thread(self, monkeypatch):
+        drawn_on = []
+
+        class Recorded(GaussianIso):
+            def draw(self, rng, count):
+                drawn_on.append(threading.get_ident())
+                return super().draw(rng, count)
+
+        before = threading.active_count()
+        mc_inequality_verdict(ABS1, Recorded(1, 1.0, [0.0]), 3 * _CHUNK + 1, 7)
+        assert len(drawn_on) == 8 and len(set(drawn_on)) == 1 and drawn_on[0] != threading.get_ident()
+        assert threading.active_count() == before
+
+    def test_a_draw_error_is_raised_in_the_caller(self):
+        class DrawError(Exception):
+            pass
+
+        drawn_on = []
+
+        class FailsOnChunk1(GaussianIso):
+            def draw(self, rng, count):
+                drawn_on.append(threading.get_ident())
+                if len(drawn_on) == 3:  # x of chunk 1, on the helper thread
+                    raise DrawError("no more draws")
+                return super().draw(rng, count)
+
+        before = threading.active_count()
+        with pytest.raises(DrawError, match="no more draws") as failure:  # kept: it holds the caller's frame
+            mc_inequality_verdict(ABS1, FailsOnChunk1(1, 1.0, [0.0]), 4 * _CHUNK, 8)
+        assert len(drawn_on) == 3 and threading.get_ident() not in drawn_on
+        assert threading.active_count() == before and failure.traceback
+
+    def test_an_evaluation_error_mid_stream_stops_the_helper(self):
+        class FailsOnChunk1:
+            dim = 1
+            calls = 0
+
+            def eval_many(self, pts):
+                self.calls += 1
+                if self.calls == 3:  # x - y of chunk 1, while the helper draws chunk 2
+                    raise ArithmeticError("psi failed")
+                return np.abs(pts[:, 0])
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="psi failed") as failure:  # kept: it holds the caller's frame
+            mc_inequality_verdict(FailsOnChunk1(), GaussianIso(1, 1.0, [0.0]), 4 * _CHUNK, 9)
+        assert threading.active_count() == before and failure.traceback
+
+    def test_drawn_ahead_chunks_equal_the_serial_stream_under_fast_switching(self):
+        spec, count, n_chunks = ConvolutionSampler(UniformBox([0.0, -1.0], [1.0, 0.5]), 3), 50, 200
+        rng = np.random.Generator(np.random.Philox(key=19))
+        serial = [_pair_draws(spec, rng, count) for _ in range(n_chunks)]
+        drawn = functools.partial(_pair_draws, spec, np.random.Generator(np.random.Philox(key=19)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = []
+            worker = threading.Thread(target=lambda: got.extend(_drawn_ahead(drawn, [count] * n_chunks)))
+            worker.start()
+            worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(got) == n_chunks
+        for chunk, expected in zip(got, serial):
+            for array, want in zip(chunk, expected):
+                np.testing.assert_array_equal(array, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_an_error(self):
