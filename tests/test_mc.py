@@ -330,7 +330,7 @@ class TestStreaming:
         monkeypatch.setattr(threading, "Thread", None)  # starting a thread would raise
         mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), n, 7)
 
-    def test_later_chunks_are_drawn_on_one_helper_thread(self, monkeypatch):
+    def test_later_chunks_are_drawn_on_one_helper_thread(self):
         drawn_on = []
 
         class Recorded(GaussianIso):
