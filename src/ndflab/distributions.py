@@ -2,7 +2,10 @@
 
 Every expectation here is a finite sum over atom pairs, so the moment
 inequality E psi(X-Y) <= E psi(X+Y) can be checked in exact
-floating-point arithmetic, with no sampling error.  A signed sum of i.i.d.
+floating-point arithmetic, with no sampling error.  One pair engine,
+``_pair_tiles``, yields the pair values a tile of about ``_PAIR_TILE``
+pairs at a time; the sums here and in :mod:`ndflab.kernels` reduce each
+tile as it comes, so their memory is one tile's, whatever the law's size.  A signed sum of i.i.d.
 copies with m plus and m minus signs is the pair check on the m-fold sum,
 ``exact_gap(psi, convolution_power(law, m))``.  The module also hosts the
 two-point family that breaks the inequality for |x|^alpha with alpha > 2,
@@ -12,6 +15,8 @@ the tail-integral identity for E|X+Y| - E|X-Y|, and the essential-bound
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,7 @@ ENUMERATION_LIMIT = 10**7
 
 _MERGE_TOL = 1e-12
 
-_PAIR_TILE = 1 << 16  # pairs evaluated per tile of the exact pair sums
+_PAIR_TILE = 1 << 14  # pairs evaluated per tile of the exact pair sums
 
 
 class EnumerationLimitError(ValueError):
@@ -156,41 +161,61 @@ def _check_dims(psi, dist: DiscreteDistribution):
         raise DimensionMismatch(f"psi has dimension {psi.dim}, law has {dist.dim}")
 
 
-def _pair_values(psi, x, sign: float) -> np.ndarray:
-    """(k, k) array of psi(x_i + sign * x_j) over all pairs of rows of x.
+def _pair_tiles(psi, x, sign: float):
+    """Yield (a, b, tile) with tile[i - a, j - a] = psi(x_i + sign * x_j), i in [a, b), j in [a, k).
 
-    The one pair engine behind every exact pair sum.  Only the upper
-    triangle j >= i is evaluated, in tiles of rows [a, b) against columns
-    [a, k) holding about ``_PAIR_TILE`` pairs, and each tile is mirrored
-    into the lower triangle.  The mirror is exact because every psi here is
-    even bit for bit: x_j + x_i == x_i + x_j and x_j - x_i == -(x_i - x_j)
-    in IEEE arithmetic, and psi(-v) == psi(v).  The result therefore equals
-    a whole-array evaluation, while the pair points and psi temporaries
-    take O(_PAIR_TILE * n) memory instead of O(k^2 * n).
+    The one pair engine behind every exact pair sum.  The tiles cover the
+    upper triangle j >= i of the k x k pair array in row order, each holding
+    about ``_PAIR_TILE`` pairs, so the pair points and psi temporaries take
+    O(_PAIR_TILE * n) memory.  Each tile's diagonal block is evaluated in
+    full; a pair below it is the mirror of one in it, which is exact because
+    every psi here is even bit for bit: x_j + x_i == x_i + x_j and
+    x_j - x_i == -(x_i - x_j) in IEEE arithmetic, and psi(-v) == psi(v).
+    Each tile's pairs are evaluated as one batch.  A psi whose value at a
+    point can depend on its batch (the Levy term's BLAS gemv) therefore gives
+    values, and sums, whose last bits depend on the tile shape, i.e. on k and
+    ``_PAIR_TILE``; a law with k**2 <= ``_PAIR_TILE`` is one tile, the same
+    batch as a whole-array evaluation.
     """
     k, n = x.shape
-    out = np.empty((k, k))
     rows = max(1, _PAIR_TILE // k)
+    op = np.add if sign > 0 else np.subtract  # x_i - x_j is x_i + (-1 * x_j) bit for bit
     for a in range(0, k, rows):
         b = min(a + rows, k)
-        pairs = (x[a:b, None, :] + sign * x[None, a:, :]).reshape(-1, n)
-        tile = psi.eval_many(pairs).reshape(b - a, k - a)
-        out[a:, a:b] = tile.T  # mirror first, so the diagonal block keeps
-        out[a:b, a:] = tile  # the values evaluated at (i, j) themselves
-    return out
+        pairs = np.empty((b - a, k - a, n))
+        for c in range(n):  # column by column: the same bits as a broadcast, and faster
+            op(x[a:b, c, None], x[a:, c], out=pairs[:, :, c])
+        yield a, b, psi.eval_many(pairs.reshape(-1, n)).reshape(b - a, k - a)
+
+
+def _tile_form(w, a: int, b: int, tile) -> float:
+    """A tile's share of the symmetric form w' A w: its diagonal block once, the rest twice."""
+    v = w[a:b]
+    form = v @ tile[:, :b - a] @ v
+    if b < w.shape[0]:
+        form += 2.0 * (v @ (tile[:, b - a:] @ w[b:]))
+    return form
+
+
+def _add_forms(forms) -> float:
+    """The tiles' forms added in tile order; a one-tile sum is that tile's form itself."""
+    return float(functools.reduce(operator.add, forms))
 
 
 def exact_expectation(psi, dist: DiscreteDistribution, mode: str) -> float:
     """E psi(X +/- Y) = sum_{i,j} p_i p_j psi(x_i +/- x_j), exactly.
 
     ``psi`` is any object exposing ``dim`` and ``eval_many`` (an NdfSpec
-    or a RawAbsPower probe).
+    or a RawAbsPower probe).  The double sum is reduced tile by tile as the
+    pair engine yields them, so no k x k array is made; on a law of one
+    tile it is ``w @ A @ w`` of the whole pair array A.
     """
     _check_dims(psi, dist)
     if mode not in ("sum", "difference"):
         raise ValueError(f"mode must be 'sum' or 'difference', got {mode!r}")
     w = dist.weights
-    return float(w @ _pair_values(psi, dist.atoms, 1.0 if mode == "sum" else -1.0) @ w)
+    tiles = _pair_tiles(psi, dist.atoms, 1.0 if mode == "sum" else -1.0)
+    return _add_forms(_tile_form(w, a, b, tile) for a, b, tile in tiles)
 
 
 def exact_gap(psi, dist: DiscreteDistribution) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, kernel_kpsi, psd_tolerance
-from .distributions import DiscreteDistribution, _check_dims, _pair_values
+from .distributions import DiscreteDistribution, _add_forms, _check_dims, _pair_tiles, _tile_form
 
 __all__ = [
     "GramResult",
@@ -35,7 +35,13 @@ class GramResult:
 
 
 def gram_matrix(psi, points) -> np.ndarray:
-    """Kernel matrix K[i, j] = psi(p_i + p_j) - psi(p_i - p_j) over a point set."""
+    """Kernel matrix K[i, j] = psi(p_i + p_j) - psi(p_i - p_j) over a point set.
+
+    The one k x k array is the result: it is filled from the pair engine's
+    tiles of psi(p_i + p_j) - psi(p_i - p_j), each mirrored into the lower
+    triangle, so K is exactly symmetric and the pair temporaries stay one
+    tile's worth.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -43,20 +49,31 @@ def gram_matrix(psi, points) -> np.ndarray:
         raise ValueError("need a nonempty (k, n) point set")
     if pts.shape[1] != psi.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, psi has {psi.dim}")
-    mat = _pair_values(psi, pts, 1.0) - _pair_values(psi, pts, -1.0)  # exactly symmetric
-    if not np.isfinite(mat).all():
-        raise ValueError("Gram matrix has non-finite entries: psi overflows on these points")
+    k = pts.shape[0]
+    mat = np.empty((k, k))
+    for (a, b, plus), (_, _, tile) in zip(_pair_tiles(psi, pts, 1.0), _pair_tiles(psi, pts, -1.0)):
+        np.subtract(plus, tile, out=tile)
+        if not np.isfinite(tile).all():
+            raise ValueError("Gram matrix has non-finite entries: psi overflows on these points")
+        mat[a:, a:b] = tile.T  # mirror first, so the diagonal block keeps
+        mat[a:b, a:] = tile  # the values evaluated at (i, j) themselves
     return mat
 
 
 def psd_check(matrix, tol: float | None = None) -> GramResult:
-    """Minimum-eigenvalue PSD verdict for a symmetric matrix, in Python scalars."""
+    """Minimum-eigenvalue PSD verdict for a symmetric matrix, in Python scalars.
+
+    Beside the matrix it holds one matrix-sized temporary at a time: the
+    asymmetry ``|A - A'|``, taken in place, and then ``eigvalsh``'s own copy.
+    """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-12 * max(1.0, scale):
+    scale = max(float(mat.max()), -float(mat.min())) if mat.size else 0.0
+    asym = np.subtract(mat, mat.T)
+    if np.max(np.abs(asym, out=asym), initial=0.0) > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not symmetric")
+    del asym
     tol = float(psd_tolerance(mat.shape[0], scale) if tol is None else tol)
     min_eig = float(np.min(np.linalg.eigvalsh(mat)))
     return GramResult(min_eigenvalue=min_eig, psd=min_eig >= -tol, tol=tol)
@@ -84,20 +101,25 @@ def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, fl
     """(quadratic_form, gap, e_plus, e_minus): w' K w over the law's atoms vs the exact moment gap.
 
     Both equal the variance of the Gaussian functional integrated against
-    the law, so both are nonnegative for cnd psi.  P = psi(x_i + x_j) and
-    M = psi(x_i - x_j) are evaluated once each, and e_plus = w'Pw, e_minus
-    = w'Mw, gap = e_plus - e_minus (the bits of :func:`exact_gap`) and the
-    Gram form w'(P - M)w are one double sum added in two orders.  So this
-    checks summation rounding and the sign of the form, not a second route;
-    a feature map phi with K(x, y) = <phi(x), phi(y)> would give one.
+    the law, so both are nonnegative for cnd psi.  The pair engine's tiles
+    of P = psi(x_i + x_j) and M = psi(x_i - x_j) are walked in step and
+    reduced as they come: e_plus = w'Pw and e_minus = w'Mw (the bits of
+    :func:`exact_gap`, gap = e_plus - e_minus) and the Gram form w'(P - M)w,
+    with P - M formed in place in each tile.  No k x k array is made.  The
+    form and the gap are one double sum added in two orders, so this checks
+    summation rounding and the sign of the form, not a second route; a
+    feature map phi with K(x, y) = <phi(x), phi(y)> would give one.
     """
     _check_dims(psi, dist)
     w = dist.weights
-    plus = _pair_values(psi, dist.atoms, 1.0)
-    minus = _pair_values(psi, dist.atoms, -1.0)
-    e_plus, e_minus = float(w @ plus @ w), float(w @ minus @ w)
-    plus -= minus  # the Gram matrix K, in place
-    return float(w @ plus @ w), e_plus - e_minus, e_plus, e_minus
+    forms = []  # per tile: its shares of w'Pw, w'Mw and w'Kw
+    for (a, b, plus), (_, _, minus) in zip(_pair_tiles(psi, dist.atoms, 1.0),
+                                           _pair_tiles(psi, dist.atoms, -1.0)):
+        shares = _tile_form(w, a, b, plus), _tile_form(w, a, b, minus)
+        plus -= minus  # this tile of the Gram matrix K, in place
+        forms.append((*shares, _tile_form(w, a, b, plus)))
+    e_plus, e_minus, quad = (_add_forms(column) for column in zip(*forms))
+    return quad, e_plus - e_minus, e_plus, e_minus
 
 
 def gram_to_csv(matrix, start: int = 0, stop: int | None = None) -> str:

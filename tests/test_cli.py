@@ -3,6 +3,7 @@ import functools
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -295,6 +296,22 @@ class TestRun:
         pair, signed = rows
         assert (signed["e_signed"], signed["e_allplus"], signed["gap"], signed["method"]) == (
             pair["e_minus"], pair["e_plus"], pair["gap"], "exact")
+
+    def test_exact_verify_of_a_large_law_holds_no_pair_matrix(self, tmp_path):
+        # the 3163-atom law of the test above: its 3163 x 3163 pair array
+        # would be 76 MB, and the tiled sums keep the whole run under 8 MB
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.05, 1.0, size=3163)
+        law = {"atoms": rng.normal(size=(3163, 1)).tolist(), "weights": (w / w.sum()).tolist()}
+        cfg = write(tmp_path, "c.json", {"psi": PSI_ABS, "distribution": law})
+        tracemalloc.start()
+        try:
+            code = main(["verify-inequality", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
 
     def test_exact_tolerance_scales_with_the_sums(self):
         # centred laws make E|X+Y|^2 = E|X-Y|^2, a true gap of 0; at scales up

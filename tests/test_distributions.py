@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from ndflab import (
     ess_bounds_check,
     exact_expectation,
     exact_gap,
+    gram_matrix,
     tail_identity_check,
+    variance_identity,
 )
 from ndflab.core import decode, encode
-from ndflab.distributions import DISTRIBUTION, _pair_values, _tail_integral
+from ndflab import distributions
+from ndflab.distributions import DISTRIBUTION, _pair_tiles, _tail_integral
 from randgen import random_distribution, random_ndf_spec, random_sign_pattern
 
 ABS1 = EuclideanPower(1.0, 1)
@@ -436,6 +440,22 @@ def _random_psi(spec_seed, dim, raw_alpha):
     return random_ndf_spec(np.random.default_rng(spec_seed), dim)
 
 
+def _assembled(psi, x, sign):
+    """The whole k x k pair array, put together from the engine's tiles and their mirrors."""
+    k = x.shape[0]
+    out = np.empty((k, k))
+    for a, b, tile in _pair_tiles(psi, x, sign):
+        out[a:, a:b] = tile.T
+        out[a:b, a:] = tile
+    return out
+
+
+def _whole(psi, x, sign):
+    """The k x k pair array psi(x_i + sign * x_j) evaluated as one batch."""
+    k, dim = x.shape
+    return psi.eval_many((x[:, None] + sign * x[None]).reshape(-1, dim)).reshape(k, k)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
     dim=st.integers(1, 3),
@@ -446,12 +466,66 @@ def _random_psi(spec_seed, dim, raw_alpha):
     log_scale=st.floats(-3.0, 4.0),
 )
 @example(dim=2, k=300, sign=-1.0, spec_seed=3, raw_alpha=None, log_scale=0.0)
-def test_pair_values_match_the_whole_array(dim, k, sign, spec_seed, raw_alpha, log_scale):
-    # k above _PAIR_TILE ** 0.5 = 256 makes the engine run several row tiles
+def test_pair_tiles_match_the_whole_array(dim, k, sign, spec_seed, raw_alpha, log_scale):
+    # k above _PAIR_TILE ** 0.5 = 128 makes the engine run several row tiles
     psi = _random_psi(spec_seed, dim, raw_alpha)
     x = np.random.default_rng(spec_seed + k).normal(scale=10.0**log_scale, size=(k, dim))
-    whole = psi.eval_many((x[:, None] + sign * x[None]).reshape(-1, dim)).reshape(k, k)
-    assert np.array_equal(_pair_values(psi, x, sign), whole)
+    assert np.array_equal(_assembled(psi, x, sign), _whole(psi, x, sign))
+    assert np.array_equal(gram_matrix(psi, x), _whole(psi, x, 1.0) - _whole(psi, x, -1.0))
+
+
+def _random_law(seed, k, dim, log_scale):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, size=k)
+    return DiscreteDistribution(rng.normal(scale=10.0**log_scale, size=(k, dim)), w / w.sum())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.integers(1, 128),
+    spec_seed=st.integers(0, 2**32 - 1),
+    raw_alpha=st.none() | st.floats(0.1, 4.0),
+    log_scale=st.floats(-3.0, 4.0),
+)
+def test_one_tile_sums_are_the_whole_array_forms(dim, k, spec_seed, raw_alpha, log_scale):
+    # k <= 128 is one tile, as is every battery law: its sums keep the bits of w @ A @ w
+    psi = _random_psi(spec_seed, dim, raw_alpha)
+    law = _random_law(spec_seed + k, k, dim, log_scale)
+    assert law.n_atoms == k
+    w, x = law.weights, law.atoms
+    plus, minus = _whole(psi, x, 1.0), _whole(psi, x, -1.0)
+    e_plus, e_minus = float(w @ plus @ w), float(w @ minus @ w)
+    assert exact_expectation(psi, law, "sum") == e_plus
+    assert exact_expectation(psi, law, "difference") == e_minus
+    assert variance_identity(psi, law) == (float(w @ (plus - minus) @ w), e_plus - e_minus, e_plus, e_minus)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.integers(1, 60),
+    spec_seed=st.integers(0, 2**32 - 1),
+    raw_alpha=st.none() | st.floats(0.1, 4.0),
+    log_scale=st.floats(-3.0, 4.0),
+)
+@example(dim=2, k=60, spec_seed=7, raw_alpha=None, log_scale=1.0)
+def test_multi_tile_sums_agree_with_the_whole_array_forms(dim, k, spec_seed, raw_alpha, log_scale):
+    # 64 pairs per tile: one row per tile from k = 33 on, so the sums are
+    # added tile by tile; the reference forms reduce the same pair values
+    psi = _random_psi(spec_seed, dim, raw_alpha)
+    law = _random_law(spec_seed + k, k, dim, log_scale)
+    assert law.n_atoms == k
+    w = law.weights
+    with mock.patch.object(distributions, "_PAIR_TILE", 64):
+        plus, minus = _assembled(psi, law.atoms, 1.0), _assembled(psi, law.atoms, -1.0)
+        e_plus, e_minus = exact_expectation(psi, law, "sum"), exact_expectation(psi, law, "difference")
+        quad, gap, vi_plus, vi_minus = variance_identity(psi, law)
+    kernel = plus - minus
+    eps = np.finfo(float).eps
+    for got, mat in ((e_plus, plus), (e_minus, minus), (vi_plus, plus), (vi_minus, minus), (quad, kernel)):
+        assert abs(got - w @ mat @ w) <= 8.0 * eps * k * (w @ np.abs(mat) @ w)
+    assert (vi_plus, vi_minus, gap) == (e_plus, e_minus, e_plus - e_minus)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -469,8 +543,7 @@ def test_psi_is_even_bit_for_bit(dim, spec_seed, raw_alpha, log_scale):
 
 
 def test_exact_gap_memory_is_bounded_by_the_tile():
-    # the k x k result is 30.5 MB; whole-array pair points and psi
-    # temporaries peaked at 122 MB
+    # the sums are reduced tile by tile: no k x k array (30.5 MB) is made
     rng = np.random.default_rng(5)
     w = rng.uniform(0.05, 1.0, size=2000)
     law = DiscreteDistribution(rng.normal(size=(2000, 2)), w / w.sum())
@@ -480,7 +553,7 @@ def test_exact_gap_memory_is_bounded_by_the_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 4 * 2**20
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

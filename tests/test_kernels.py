@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,31 @@ def test_gram_csv_matches_the_template_on_a_large_matrix():
 def test_gram_of_overflowing_points_is_rejected():
     with pytest.raises(ValueError, match="Gram matrix has non-finite entries"):
         gram_matrix(EuclideanPower(2.0, 1), [[1e160], [1.0]])
+
+
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_variance_identity_memory_is_bounded_by_the_tile():
+    # the P and M tiles are reduced as they come; the two k x k arrays
+    # (61 MB) it built before are gone
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.05, 1.0, size=2000)
+    law = DiscreteDistribution(rng.normal(size=(2000, 2)), w / w.sum())
+    assert _traced_peak(variance_identity, EuclideanPower(1.0, 2), law)[1] < 4 * 2**20
+
+
+def test_gram_and_psd_check_hold_one_matrix_sized_array_each():
+    # gram_matrix fills its result from the tiles; psd_check's one temporary
+    # is the asymmetry |A - A'| (eigvalsh copies outside tracemalloc's view)
+    pts = np.random.default_rng(6).normal(size=(1000, 2))
+    mat, peak = _traced_peak(gram_matrix, EuclideanPower(1.0, 2), pts)
+    assert peak < mat.nbytes + 4 * 2**20
+    assert _traced_peak(psd_check, mat)[1] < mat.nbytes + 4 * 2**20
