@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,34 @@ from ndflab import (
     kernel_kpsi,
     psd_check,
 )
-from ndflab.bbm import _cov, paths_to_csv
+from ndflab import bbm
+from ndflab.bbm import _cov, _psd_root, paths_to_csv
+
+
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The names of the np.linalg factorisations called during the test, in order."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("cholesky", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
 
 
 class TestParams:
@@ -60,6 +90,17 @@ class TestCovariance:
             mat = bbm_cov_matrix(params, g)
             assert np.array_equal(mat, _cov(params, g[:, None], g[None, :]))
             assert np.array_equal(mat, mat.T)
+        # grids longer than one block of rows: the in-place build matches across block edges
+        for n in (65, 200, 801):
+            for with_zero in (False, True):
+                h = rng.uniform(0.05, 1.0)
+                params = BbmParams(h, rng.uniform(0.05, min(2.0, 1.0 / h)))
+                g = np.sort(rng.uniform(0.0, 5.0, size=n - with_zero))
+                g = np.concatenate([[0.0], g]) if with_zero else g
+                assert g.size == n and np.all(np.diff(g) > 0)
+                mat = bbm_cov_matrix(params, g)
+                assert np.array_equal(mat, _cov(params, g[:, None], g[None, :]))
+                assert np.array_equal(mat, mat.T)
 
     def test_single_point(self):
         mat = bbm_cov_matrix(BbmParams(0.8, 0.6), [2.0])
@@ -72,6 +113,21 @@ class TestCovariance:
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             bbm_cov_matrix(BbmParams(0.5, 1.0), [2.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_times_are_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic on the times
+            for grid in ([bad], [0.0, 1.0, bad]):
+                with pytest.raises(ValueError, match="grid times must be finite"):
+                    bbm_cov_matrix(BbmParams(0.5, 1.0), grid)
+                with pytest.raises(ValueError, match="grid times must be finite"):
+                    bbm_sample_paths(BbmParams(0.5, 1.0), grid, 2, seed=0)
+
+    def test_matrix_is_built_in_one_array(self):
+        grid = np.linspace(0.0, 2.0, 801)[1:]
+        cov, peak = _traced_peak(bbm_cov_matrix, BbmParams(0.55, 1.2), grid)
+        assert peak < cov.nbytes + 2**20
 
     def test_psd_battery(self):
         rng = np.random.default_rng(42)
@@ -94,9 +150,35 @@ class TestSampling:
         assert a.shape == (10, 3)
         np.testing.assert_array_equal(a, b)
 
-    def test_zero_at_origin(self):
-        paths = bbm_sample_paths(BbmParams(0.5, 1.0), [0.0, 1.0, 2.0], 20, seed=1)
-        np.testing.assert_array_equal(paths[:, 0], 0.0)
+    def test_zero_at_origin(self, linalg_calls):
+        # R(0, .) = 0: column 0 is exactly 0 through the Cholesky root and through eigh's
+        for params, route in [(BbmParams(0.5, 1.0), ["cholesky"]),
+                              (BbmParams(0.5, 2.0), ["cholesky", "eigh"])]:
+            linalg_calls.clear()
+            paths = bbm_sample_paths(params, [0.0, 1.0, 2.0], 20, seed=1)
+            assert linalg_calls == route
+            np.testing.assert_array_equal(paths[:, 0], 0.0)
+            assert np.all(paths[:, 1:] != 0.0)
+
+    def test_rank_one_covariance_samples_through_eigh(self, linalg_calls):
+        # H = 1/2, K = 2 gives R(t, s) = t s: Cholesky breaks down, and each path
+        # is one normal times the grid
+        grid = np.linspace(0.1, 3.0, 30)
+        paths = bbm_sample_paths(BbmParams(0.5, 2.0), grid, 50, seed=4)
+        assert linalg_calls == ["cholesky", "eigh"]
+        slope = paths @ grid / (grid @ grid)
+        # the clipped and the tiny positive eigenvalues leave a remainder of order sqrt(eps)
+        assert np.abs(paths - np.outer(slope, grid)).max() <= 1e-6 * np.abs(paths).max()
+
+    def test_indefinite_covariance_raises(self):
+        with pytest.raises(ValueError, match="covariance indefinite"):
+            _psd_root(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_paths_hold_the_root_and_the_paths(self):
+        bbm_sample_paths(BbmParams(0.5, 1.0), [1.0], 1, seed=0)  # the first draw imports numpy.random (1 MB)
+        grid = np.linspace(0.0, 2.0, 801)[1:]
+        paths, peak = _traced_peak(bbm_sample_paths, BbmParams(0.55, 1.2), grid, 1000, 7)
+        assert peak < grid.size**2 * 8 + paths.nbytes + 2**20
 
     def test_brownian_empirical_covariance(self):
         grid = np.array([0.5, 1.0, 1.5])
@@ -108,6 +190,22 @@ class TestSampling:
                 prod = paths[:, i] * paths[:, j]
                 stderr = prod.std(ddof=1) / np.sqrt(prod.size)
                 assert abs(emp[i, j] - target[i, j]) <= 5 * stderr
+
+    def test_empirical_covariance_through_cholesky_in_draw_blocks(self, linalg_calls, monkeypatch):
+        params = BbmParams(0.6, 1.3)
+        grid = np.linspace(0.1, 2.0, 40)
+        paths = bbm_sample_paths(params, grid, 20_000, seed=3)  # 1638 rows per draw block
+        assert linalg_calls == ["cholesky"]
+        emp = empirical_covariance(paths)
+        target = bbm_cov_matrix(params, grid)
+        # the standard error of each entry from the products of the (mean-zero) paths
+        sq = paths**2
+        stderr = np.sqrt((sq.T @ sq / len(paths) - (paths.T @ paths / len(paths)) ** 2) / len(paths))
+        assert np.max(np.abs(emp - target) / stderr) <= 5.0
+        # a grid longer than one draw block: one row per block, the same normals row by row
+        monkeypatch.setattr(bbm, "_DRAW_BLOCK", 16)
+        head = bbm_sample_paths(params, grid, 100, seed=3)
+        np.testing.assert_allclose(head, paths[:100], rtol=0, atol=1e-13 * np.abs(paths).max())
 
     def test_empirical_covariance_edge_cases(self):
         np.testing.assert_array_equal(empirical_covariance(np.zeros((5, 2))), 0.0)
