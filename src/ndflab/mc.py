@@ -5,11 +5,11 @@ estimate is a pure function of (spec, seed, count).  Both sides of the
 inequality are evaluated on the same draws (common random numbers),
 which makes the gap estimator far tighter than two independent runs.
 :func:`mc_inequality_verdict` is the one estimator.  It streams chunks of
-``_CHUNK`` samples from one generator, drawing x then y per chunk and
-folding exact (count, mean, M2) triples in chunk order.  Its verdict
-carries the mean and standard error of each side; the sample count and
-seed are the caller's.  A signed sum with m plus and m minus signs is the
-pair check on the m-fold sum,
+``_CHUNK`` = 32 768 samples from one generator, drawing x then y per chunk
+and folding exact (count, mean, M2) triples in chunk order, so for
+n_samples > 32 768 the results differ from a whole-array draw.  Its verdict
+carries each side's mean and standard error.  A signed sum with m plus and
+m minus signs is the pair check on the m-fold sum,
 ``mc_inequality_verdict(psi, ConvolutionSampler(spec, m), n, seed)``.
 
 Past the first chunk, one helper thread draws chunk i + 1 (x, y, x - y
@@ -17,13 +17,13 @@ and x + y) while the caller evaluates psi on chunk i.  The generator is
 used by one thread at a time, in the same order, and the caller folds
 the chunks in order, so every estimate keeps every bit of a serial run.
 About two chunks are alive at a time, so memory is O(_CHUNK * dim),
-whatever the sample count; a sampler of m-fold sums adds its draws in row blocks of
-``_SUM_BLOCK`` draws.  A run of at most ``_CHUNK`` samples draws inline
-and starts no thread.
+whatever the sample count; a sampler of m-fold sums adds its draws in
+row blocks of ``_SUM_BLOCK`` draws.  A run of at most ``_CHUNK`` samples
+draws inline and starts no thread.
 
 A chunk makes as few passes over memory as its arithmetic allows, without
-changing a bit of it: Gaussian and uniform draws are scaled and shifted in
-place, and deviations are squared in place.
+changing a bit of it: a draw's per-coordinate scale, shift and sum are
+applied in place one column at a time, and deviations are squared in place.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ __all__ = [
     "parse_seed",
 ]
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 _SUM_BLOCK = 1 << 14  # draws of the summand per block of ConvolutionSampler.draw
 
 CONSISTENT = "ConsistentHolds"
@@ -123,7 +123,8 @@ class GaussianIso(SamplerSpec):
     def draw(self, rng, count):
         z = rng.standard_normal((count, self.dim))
         z *= self.sigma
-        z += self.mean
+        for d in range(self.dim):
+            z[:, d] += self.mean[d]
         return z
 
 
@@ -150,8 +151,11 @@ class UniformBox(SamplerSpec):
 
     def draw(self, rng, count):
         u = rng.random((count, self.dim))
-        u *= self.upper - self.lower
-        u += self.lower
+        width = self.upper - self.lower
+        for d in range(self.dim):
+            column = u[:, d]
+            column *= width[d]
+            column += self.lower[d]
         return u
 
 
@@ -178,6 +182,10 @@ class ConvolutionSampler(SamplerSpec):
     spec: SamplerSpec
     m: int
 
+    def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+
     @property
     def dim(self):
         return self.spec.dim
@@ -191,9 +199,11 @@ class ConvolutionSampler(SamplerSpec):
         for start in range(0, count, step):
             rows = total[start:start + step]
             draws = self.spec.draw(rng, len(rows) * self.m).reshape(len(rows), self.m, self.dim)
-            np.copyto(rows, draws[:, 0])
-            for j in range(1, self.m):
-                rows += draws[:, j]
+            for d in range(self.dim):
+                column = rows[:, d]
+                np.copyto(column, draws[:, 0, d])
+                for j in range(1, self.m):
+                    column += draws[:, j, d]
         return total
 
 

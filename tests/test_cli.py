@@ -723,7 +723,7 @@ class TestMain:
                 "signed-sum",
                 {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "distribution": BERNOULLI},
             ),
-            # more than one 65 536-sample chunk
+            # more than two 32 768-sample chunks
             ("signed-sum", {"psi": PSI_ABS, "pattern": [1, -1, -1, 1], "sampler": GAUSS,
                             "n_samples": 70_000, "seed": 6}),
         ],

@@ -89,6 +89,33 @@ class TestSample:
         draws = sample(spec, 6, 10_000)
         assert set(np.unique(draws)) == {-10.0, 1.0}
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_column_wise_draws_equal_the_broadcast_form(self, dim):
+        # draws are scaled, shifted and summed a column at a time, with the bits of the row broadcast
+        rng = np.random.default_rng(dim)
+        mean, lower = rng.normal(size=dim) * 3.0, rng.normal(size=dim)
+        upper = lower + rng.uniform(0.1, 5.0, size=dim)
+        count, seed = 3 * (_SUM_BLOCK // 3) + 5, 20 + dim
+        philox = lambda: np.random.Generator(np.random.Philox(key=seed))
+        np.testing.assert_array_equal(sample(GaussianIso(dim, 1.7, mean), seed, count),
+                                      philox().standard_normal((count, dim)) * 1.7 + mean)
+        box = UniformBox(lower, upper)
+        np.testing.assert_array_equal(sample(box, seed, count),
+                                      philox().random((count, dim)) * (upper - lower) + lower)
+        draws = sample(box, seed, 3 * count).reshape(count, 3, dim)
+        np.testing.assert_array_equal(sample(ConvolutionSampler(box, 3), seed, count),
+                                      draws[:, 0] + draws[:, 1] + draws[:, 2])
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, 2.0, True])
+    def test_sum_sampler_needs_a_positive_integer_m(self, m):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            ConvolutionSampler(GaussianIso(1, 1.0, [0.0]), m)
+
+    def test_sum_sampler_takes_a_numpy_integer_m(self):
+        spec = GaussianIso(1, 1.0, [0.0])
+        np.testing.assert_array_equal(sample(ConvolutionSampler(spec, np.int64(2)), 3, 50),
+                                      sample(ConvolutionSampler(spec, 2), 3, 50))
+
 
 class TestPairEstimates:
     def test_symmetric_spec_agreement(self):
@@ -247,6 +274,33 @@ class TestPlumbing:
         assert est_minus.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(1000), rel=1e-9)
 
 
+PINNED_N = 200_001
+# (psi, spec, seed, [(mean, stderr) of E psi(X-Y), of E psi(X+Y)]) for PINNED_N samples
+PAIR_CASES = [
+    (PSI2, GaussianIso(2, 1.3, [0.4, -0.2]), 2027,
+     [(5.238970949925789, 0.009632998961378291), (5.667683896434567, 0.010436724693240427)]),
+    (PSI2, UniformBox([-1.0, 0.0], [2.0, 0.5]), 2028,
+     [(1.6355174376133583, 0.0038216771427266047), (2.733279944792089, 0.0059911584308788915)]),
+    (PSI2, DiscreteSampler(DiscreteDistribution(np.array([[0.0, 1.0], [1.5, -0.5], [-2.0, 0.25]]),
+                                                np.array([0.2, 0.3, 0.5]))), 2029,
+     [(4.470433146156679, 0.009573998025433031), (5.602175715834823, 0.010994608050101821)]),
+    (RawAbsPower(3.0), CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0)), 2030,
+     [(237.46252268738658, 1.1394607672400439), (215.23389383053086, 1.8411641573783528)]),
+]
+# (psi, spec, signs, seed, [(mean, stderr) of the signed sum, of the all-plus sum])
+SUM_CASES = [
+    (EuclideanPower(1.0, 2), GaussianIso(2, 1.0, [0.5, -0.25]), (1, 1, -1, -1), 2024,
+     [(2.507391193817476, 0.0029302341619452635), (3.235940633162313, 0.0035646715583426193)]),
+    (EuclideanPower(1.5, 1), DiscreteSampler(DiscreteDistribution(np.array([[0.0], [1.0], [-2.5]]),
+                                                                  np.array([0.2, 0.3, 0.5]))), (1, -1), 2025,
+     [(2.8741648328858362, 0.006269158249693392), (4.518043250337087, 0.008918740579693947)]),
+    (EuclideanPower(0.5, 2), UniformBox([0.0, -1.0], [2.0, 1.0]), (1, -1, 1, -1), 2026,
+     [(1.166291979741005, 0.0007081742368684107), (2.022596830553616, 0.000635701031552715)]),
+    (PSI2, UniformBox([-1.0, 0.0], [2.0, 0.5]), (1, -1, -1, 1, 1, -1, 1, -1), 2031,
+     [(5.4177341602549465, 0.013864405596414678), (20.54970400892112, 0.0348149165595614)]),
+]
+
+
 class TestStreaming:
     """The single chunked stream behind every Monte Carlo estimator."""
 
@@ -258,43 +312,39 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 5 * 2**20
 
     def test_signed_sum_stream_is_unchanged(self):
-        # 3 full chunks plus a partial one; each chunk draws S then S', each
+        # 6 full chunks plus a partial one; each chunk draws S then S', each
         # the in-order sum of m consecutive draws (m = n_vars / 2)
-        law = DiscreteDistribution(np.array([[0.0], [1.0], [-2.5]]), np.array([0.2, 0.3, 0.5]))
-        cases = [
-            (EuclideanPower(1.0, 2), GaussianIso(2, 1.0, [0.5, -0.25]), (1, 1, -1, -1), 2024,
-             [(2.5084271426230473, 0.0029305918214582536), (3.2359105920809954, 0.0035608676738488228)]),
-            (EuclideanPower(1.5, 1), DiscreteSampler(law), (1, -1), 2025,
-             [(2.8828705917752884, 0.006267540163135477), (4.5122399597723, 0.008911124356878176)]),
-            (EuclideanPower(0.5, 2), UniformBox([0.0, -1.0], [2.0, 1.0]), (1, -1, 1, -1), 2026,
-             [(1.1678287187191772, 0.000707185074302864), (2.0223933603628894, 0.0006354895669069904)]),
-            (PSI2, UniformBox([-1.0, 0.0], [2.0, 0.5]), (1, -1, -1, 1, 1, -1, 1, -1), 2031,
-             [(5.4058777869893575, 0.013838639309347787), (20.559056008498235, 0.034835995437452257)]),
-        ]
-        assert 3 * _CHUNK < 200_001 < 4 * _CHUNK
-        for psi, spec, signs, seed, expected in cases:
-            verdict = mc_inequality_verdict(psi, ConvolutionSampler(spec, len(signs) // 2), 200_001, seed)
+        assert 6 * _CHUNK < PINNED_N < 7 * _CHUNK
+        for psi, spec, signs, seed, expected in SUM_CASES:
+            verdict = mc_inequality_verdict(psi, ConvolutionSampler(spec, len(signs) // 2), PINNED_N, seed)
             assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == expected
 
     def test_pair_estimates_are_unchanged(self):
-        # (mean, stderr) of E psi(X-Y) and E psi(X+Y) over 3 full chunks plus a partial one
-        law = DiscreteDistribution(np.array([[0.0, 1.0], [1.5, -0.5], [-2.0, 0.25]]), np.array([0.2, 0.3, 0.5]))
-        cases = [
-            (PSI2, GaussianIso(2, 1.3, [0.4, -0.2]), 2027,
-             [(5.224913088506554, 0.009642573852580322), (5.676573266193953, 0.010407444173474405)]),
-            (PSI2, UniformBox([-1.0, 0.0], [2.0, 0.5]), 2028,
-             [(1.6426376283030149, 0.0038376053344926168), (2.726286491300053, 0.005974753628333565)]),
-            (PSI2, DiscreteSampler(law), 2029,
-             [(4.484874044851062, 0.009582323730950651), (5.587584003683891, 0.01099822121246709)]),
-            (RawAbsPower(3.0), CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0)), 2030,
-             [(237.3959730201349, 1.1393357540330746), (215.39764301178494, 1.8432037285718845)]),
-        ]
-        for psi, spec, seed, expected in cases:
-            verdict = mc_inequality_verdict(psi, spec, 200_001, seed)
+        # (mean, stderr) of E psi(X-Y) and E psi(X+Y) over 6 full chunks plus a partial one
+        for psi, spec, seed, expected in PAIR_CASES:
+            verdict = mc_inequality_verdict(psi, spec, PINNED_N, seed)
             assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == expected
+
+    def test_pinned_estimates_follow_the_per_chunk_order(self):
+        # x and y rebuilt chunk by chunk (x then y, each the in-order sum of
+        # m consecutive draws) and evaluated whole give the pinned values
+        cases = [(psi, spec, 1, seed, expected) for psi, spec, seed, expected in PAIR_CASES]
+        cases += [(psi, spec, len(signs) // 2, seed, expected) for psi, spec, signs, seed, expected in SUM_CASES]
+        for psi, spec, m, seed, expected in cases:
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            xs, ys = [], []
+            for start in range(0, PINNED_N, _CHUNK):
+                count = min(_CHUNK, PINNED_N - start)
+                for drawn in (xs, ys):
+                    draws = spec.draw(rng, count * m).reshape(count, m, spec.dim)
+                    drawn.append(functools.reduce(np.add, [draws[:, j] for j in range(m)]))
+            x, y = np.concatenate(xs), np.concatenate(ys)
+            for (mean, stderr), vals in zip(expected, (psi.eval_many(x - y), psi.eval_many(x + y))):
+                assert mean == pytest.approx(vals.mean(), rel=1e-12)
+                assert stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(PINNED_N), rel=1e-12)
 
     def test_pair_estimates_follow_the_per_chunk_order(self):
         n = _CHUNK + 1
@@ -321,8 +371,8 @@ class TestStreaming:
 
         monkeypatch.setattr(DiscreteDistribution, "__post_init__", counted)
         spec = CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0))
-        assert 3 * _CHUNK < 200_001  # x and y are drawn in each of 4 chunks
-        mc_inequality_verdict(RawAbsPower(3.0), spec, 200_001, 6)
+        assert 6 * _CHUNK < PINNED_N  # x and y are drawn in each of 7 chunks
+        mc_inequality_verdict(RawAbsPower(3.0), spec, PINNED_N, 6)
         assert len(built) == 1
 
     @pytest.mark.parametrize("n", [100, _CHUNK])
@@ -331,16 +381,22 @@ class TestStreaming:
         mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), n, 7)
 
     def test_later_chunks_are_drawn_on_one_helper_thread(self):
-        drawn_on = []
+        drawn_on, evaluated_on = [], []
 
         class Recorded(GaussianIso):
             def draw(self, rng, count):
                 drawn_on.append(threading.get_ident())
                 return super().draw(rng, count)
 
+        class RecordedPsi(EuclideanPower):
+            def eval_many(self, pts):
+                evaluated_on.append(threading.get_ident())
+                return super().eval_many(pts)
+
         before = threading.active_count()
-        mc_inequality_verdict(ABS1, Recorded(1, 1.0, [0.0]), 3 * _CHUNK + 1, 7)
+        mc_inequality_verdict(RecordedPsi(1.0, 1), Recorded(1, 1.0, [0.0]), 3 * _CHUNK + 1, 7)
         assert len(drawn_on) == 8 and len(set(drawn_on)) == 1 and drawn_on[0] != threading.get_ident()
+        assert evaluated_on == [threading.get_ident()] * 8  # psi runs only on the caller
         assert threading.active_count() == before
 
     def test_a_draw_error_is_raised_in_the_caller(self):
