@@ -199,7 +199,7 @@ def _run_counterexample(alpha, c, m=None, m_grid=None, command=None):
 
 
 def _run_tail_identity(distribution, tolerance=1e-12, command=None):
-    rhs = dist_mod._tail_integral(distribution)
+    rhs = dist_mod.tail_integral(distribution)
     exact, _ = _exact_check(dist_mod.RawAbsPower(1.0), distribution, tolerance)  # lhs, with its rounding
     lhs, rounding = exact["gap"], exact["rounding_tolerance"]
     err = abs(lhs - rhs)

@@ -19,7 +19,11 @@ the chunks in order, so every estimate keeps every bit of a serial run.
 About two chunks are alive at a time, so memory is O(_CHUNK * dim),
 whatever the sample count; a sampler of m-fold sums adds its draws in
 row blocks of ``_SUM_BLOCK`` draws.  A run of at most ``_CHUNK`` samples
-draws inline and starts no thread.
+draws inline and starts no thread, and so does a finite law of k atoms
+with k**2 <= min(n_samples, _CHUNK): psi is evaluated once on its k**2
+differences and k**2 sums of atoms, and each chunk draws the atom indices
+of x and y and gathers psi from those two tables, which leaves too little
+to overlap with a draw.
 
 A chunk makes as few passes over memory as its arithmetic allows, without
 changing a bit of it: a draw's per-coordinate scale, shift and sum are
@@ -64,6 +68,7 @@ __all__ = [
 
 _CHUNK = 1 << 15
 _SUM_BLOCK = 1 << 14  # draws of the summand per block of ConvolutionSampler.draw
+_COUNTED_ATOMS = 32  # laws of up to this many atoms find a draw's index by counting, not bisection
 
 CONSISTENT = "ConsistentHolds"
 VIOLATION = "ViolationDetected"
@@ -84,7 +89,12 @@ class SamplerSpec:
 
 @dataclass(frozen=True)
 class DiscreteSampler(SamplerSpec):
-    """Inverse-CDF sampling from a finite atomic law."""
+    """Inverse-CDF sampling from a finite atomic law.
+
+    A draw is the atoms at ``count`` indices drawn by inverse CDF from one
+    uniform each.  :func:`mc_inequality_verdict` draws the same indices and
+    reads psi from a table over the atom pairs instead (see there).
+    """
 
     distribution: DiscreteDistribution
 
@@ -98,9 +108,19 @@ class DiscreteSampler(SamplerSpec):
         cdf[-1] = 1.0
         return cdf
 
+    def _indices(self, rng, count):
+        u = rng.random(count)
+        if self._cdf.size > _COUNTED_ATOMS:
+            return np.searchsorted(self._cdf, u, side="right")
+        # searchsorted's index is the count of cdf values <= u, here one pass per atom,
+        # which on few atoms is several times faster; u < 1.0 = cdf[-1] always
+        index = np.zeros(count, dtype=np.intp)
+        for c in self._cdf[:-1]:
+            index += u >= c
+        return index
+
     def draw(self, rng, count):
-        idx = np.searchsorted(self._cdf, rng.random(count), side="right")
-        return self.distribution.atoms[idx]
+        return self.distribution.atoms[self._indices(rng, count)]
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,12 @@ class UniformBox(SamplerSpec):
 
 @dataclass(frozen=True)
 class CounterexampleSampler(SamplerSpec):
-    """The two-point law of the alpha > 2 counterexample family."""
+    """The two-point law of the alpha > 2 counterexample family.
+
+    It draws through one :class:`DiscreteSampler` of the law, built on first
+    use, so it takes that sampler's stream and its table route in
+    :func:`mc_inequality_verdict`.
+    """
 
     params: CounterexampleParams
 
@@ -292,6 +317,47 @@ def _pair_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
     return difference, x
 
 
+def _discrete_sampler(spec: SamplerSpec):
+    """The DiscreteSampler whose draws ``spec``'s are, or None if it has none.
+
+    A discrete or counterexample sampler has one, and so does the m = 1 sum of
+    either, which draws exactly as its summand does.
+    """
+    if isinstance(spec, ConvolutionSampler) and spec.m == 1:
+        spec = spec.spec
+    if isinstance(spec, CounterexampleSampler):
+        spec = spec._discrete
+    return spec if isinstance(spec, DiscreteSampler) else None
+
+
+def _pair_values(psi, spec: SamplerSpec, counts, rng: np.random.Generator):
+    """Yield (psi(x - y), psi(x + y)) for each chunk of ``counts``, x drawn before y.
+
+    A finite law of k atoms with k**2 <= counts[0] = min(n_samples, _CHUNK)
+    evaluates psi once on the k**2 points a_i - a_j and once on the k**2
+    points a_i + a_j, formed as the chunks' x - y and x + y are.  Each chunk
+    then draws the atom indices of x and of y, from the stream in the order
+    ``spec.draw`` takes it, and gathers psi from the two tables; it draws
+    inline, on no thread.  Any other law draws its pairs with ``_drawn_ahead``
+    and evaluates psi on each chunk.
+    """
+    sampler = _discrete_sampler(spec)
+    if sampler is not None and sampler.distribution.n_atoms ** 2 <= counts[0]:
+        atoms = sampler.distribution.atoms
+        k = atoms.shape[0]
+        minus, plus = (psi.eval_many(op(atoms[:, None], atoms).reshape(k * k, -1))
+                       for op in (np.subtract, np.add))
+        for count in counts:
+            pair = sampler._indices(rng, count) * k  # row i of the tables is x = a_i
+            pair += sampler._indices(rng, count)
+            yield minus[pair], plus[pair]
+        return
+    chunks = _drawn_ahead(functools.partial(_pair_draws, spec, rng), counts)
+    with contextlib.closing(chunks):
+        for difference, total in chunks:
+            yield psi.eval_many(difference), psi.eval_many(total)
+
+
 def _drawn_ahead(draw, counts):
     """Yield ``draw(count)`` for each count in turn, drawing the next on a helper thread.
 
@@ -345,11 +411,10 @@ def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     counts = [min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
-    chunks = _drawn_ahead(functools.partial(_pair_draws, spec, _rng(seed)), counts)
+    values = _pair_values(psi, spec, counts, _rng(seed))
     acc = None
-    with contextlib.closing(chunks):
-        for difference, total in chunks:
-            minus, plus = psi.eval_many(difference), psi.eval_many(total)
+    with contextlib.closing(values):
+        for minus, plus in values:
             # the difference gives the paired variance
             stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
             acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]

@@ -18,6 +18,7 @@ from ndflab import (
     GaussianIso,
     LevyTriplet,
     RawAbsPower,
+    Subordinated,
     UniformBox,
     convolution_power,
     exact_expectation,
@@ -30,8 +31,12 @@ from ndflab.core import NDF, decode, encode
 from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import (
     _CHUNK,
+    _COUNTED_ATOMS,
     _SUM_BLOCK,
+    _chunk_stats,
+    _combine,
     _drawn_ahead,
+    _estimate,
     _pair_draws,
     CONSISTENT,
     ConvolutionSampler,
@@ -457,6 +462,143 @@ class TestStreaming:
     def test_overflow_is_an_error(self):
         with pytest.raises(ValueError, match="not finite"):
             mc_inequality_verdict(EuclideanPower(2.0, 1), GaussianIso(1, 1e200, [0.0]), 1000, 4)
+
+
+def _chunked_reference(psi, spec, n, seed):
+    """[(mean, stderr)] of psi(x-y), psi(x+y) and their difference, rebuilt from ``spec.draw``:
+    x then y for each chunk, psi on the chunk's x - y and x + y, folded in chunk order."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    acc = None
+    for start in range(0, n, _CHUNK):
+        count = min(_CHUNK, n - start)
+        x = spec.draw(rng, count)
+        y = spec.draw(rng, count)
+        minus, plus = psi.eval_many(x - y), psi.eval_many(x + y)
+        stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
+        acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
+    return [(e.mean, e.stderr) for e in map(_estimate, acc)]
+
+
+def _levy_atoms(psi):
+    """The number of Levy atoms in a spec tree: their ``pts @ u`` may round by batch in 2-d and up."""
+    if isinstance(psi, FromTriplet):
+        return len(psi.triplet.atoms)
+    if isinstance(psi, Subordinated):
+        return _levy_atoms(psi.inner)
+    if isinstance(psi, ConicSum):
+        return sum(_levy_atoms(term) for _, term in psi.terms)
+    return 0
+
+
+def _counted(psi):
+    """(a psi that records how many points each evaluation sees, that record)."""
+    seen = []
+
+    class Counted:
+        dim = psi.dim
+
+        def eval_many(self, pts):
+            seen.append(len(pts))
+            return psi.eval_many(pts)
+
+    return Counted(), seen
+
+
+def _law(rng, k, dim=1):
+    w = rng.uniform(0.05, 1.0, size=k)
+    law = DiscreteDistribution(rng.normal(size=(k, dim)), w / w.sum())
+    assert law.n_atoms == k
+    return law
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), spec_seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([100, _CHUNK + 1, 2 * _CHUNK + 17]), wrapped=st.booleans())
+def test_finite_laws_give_the_estimates_of_the_chunked_draws(dim, spec_seed, n, wrapped):
+    # a law of k atoms with k**2 <= min(n, _CHUNK) reads psi from its pair tables, any other
+    # is evaluated chunk by chunk; both must give the estimates of the per-chunk draws
+    rng = np.random.default_rng(spec_seed)
+    psi = random_ndf_spec(rng, dim, depth=2)
+    spec = DiscreteSampler(random_distribution(rng, dim, max_atoms=20))
+    if wrapped:  # as the CLI passes every sampler
+        spec = ConvolutionSampler(spec, 1)
+    seed = spec_seed % 1000
+    verdict = mc_inequality_verdict(psi, spec, n, seed)
+    got = [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)]
+    *expected, (gap_mean, gap_stderr) = _chunked_reference(psi, spec, n, seed)
+    if dim == 1 or not _levy_atoms(psi):
+        # psi of a point does not depend on its batch: the same bits
+        assert got == expected
+        assert verdict.z_score == (gap_mean / gap_stderr if gap_stderr else 0.0)
+    else:
+        # a Levy atom's pts @ u may round differently in the k**2-point table than in a chunk
+        assert np.asarray(got) == pytest.approx(np.asarray(expected), rel=1e-12)
+
+
+class TestFiniteLaws:
+    """Discrete and counterexample laws read psi from tables over their atom pairs."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, _COUNTED_ATOMS, _COUNTED_ATOMS + 1, 100, "tie"])
+    def test_a_draw_is_the_atoms_at_the_searchsorted_indices(self, k):
+        # few atoms count cdf values <= u instead of bisecting; the indices are searchsorted's
+        if k == "tie":  # a weight too small to move the cdf leaves two equal cdf values
+            law = DiscreteDistribution(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 1e-17, 0.5]))
+        else:
+            law = _law(np.random.default_rng(k), k)
+        cdf = np.cumsum(law.weights)
+        cdf[-1] = 1.0
+        u = np.random.Generator(np.random.Philox(key=3)).random(5000)
+        expected = law.atoms[np.searchsorted(cdf, u, side="right")]
+        np.testing.assert_array_equal(sample(DiscreteSampler(law), 3, 5000), expected)
+
+    @pytest.mark.parametrize("k, n, points", [
+        (5, 2 * _CHUNK + 17, 2 * 5**2),  # the tables
+        (10, 101, 2 * 10**2),  # k**2 <= n: the tables
+        (11, 120, 2 * 120),  # k**2 > n: x - y and x + y of every draw
+        (181, 10**5, 2 * 181**2),  # k**2 <= _CHUNK
+        (182, 10**5, 2 * 10**5),  # k**2 > _CHUNK
+    ])
+    def test_psi_sees_the_pair_tables_or_every_draw(self, k, n, points):
+        psi, seen = _counted(ABS1)
+        mc_inequality_verdict(psi, DiscreteSampler(_law(np.random.default_rng(k), k)), n, 4)
+        assert sum(seen) == points
+
+    def test_a_finite_law_is_drawn_inline_at_any_count(self, monkeypatch):
+        monkeypatch.setattr(threading, "Thread", None)  # starting a thread would raise
+        spec = CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0))
+        verdict = mc_inequality_verdict(RawAbsPower(3.0), spec, 3 * _CHUNK + 1, 5)
+        assert verdict.kind == VIOLATION
+
+    def test_the_cli_counterexample_job_reads_the_tables(self, monkeypatch):
+        # verify-inequality samples ConvolutionSampler(sampler, 1), which draws as its sampler does
+        seen = []
+        eval_many = EuclideanPower.eval_many
+
+        def counted(psi, pts):
+            seen.append(len(pts))
+            return eval_many(psi, pts)
+
+        monkeypatch.setattr(EuclideanPower, "eval_many", counted)
+        config = {"psi": encode(NDF, EuclideanPower(1.0, 1)),
+                  "sampler": {"type": "counterexample", "alpha": 3.0, "c": 1.0, "m": 10.0},
+                  "n_samples": 3 * _CHUNK + 1, "seed": 6}
+        report = run("verify-inequality", config)
+        assert report["passed"] and seen == [4, 4]
+        verdict = mc_inequality_verdict(ABS1, CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0)),
+                                        3 * _CHUNK + 1, 6)
+        assert (report["results"]["e_minus"], report["results"]["e_plus"]) == (
+            verdict.est_minus.mean, verdict.est_plus.mean)
+
+    def test_memory_of_the_counterexample_verdict(self):
+        # the chunk route peaked at 2.0 MiB here, holding the drawn atoms, their sums and differences
+        spec = CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0))
+        tracemalloc.start()
+        try:
+            mc_inequality_verdict(RawAbsPower(3.0), spec, 10**6, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
