@@ -38,7 +38,7 @@ from .distributions import (
     ess_bounds_check,
     exact_expectation,
     exact_gap,
-    tail_integral,
+    tail_identity_check,
 )
 from .kernels import GramResult, gram_matrix, psd_check, sine_decomposition_check, variance_identity
 from .bbm import (

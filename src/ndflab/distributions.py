@@ -34,7 +34,7 @@ __all__ = [
     "counterexample_distribution",
     "counterexample_gap_closed_form",
     "counterexample_search",
-    "tail_integral",
+    "tail_identity_check",
     "ess_bounds_check",
     "ENUMERATION_LIMIT",
 ]
@@ -315,16 +315,22 @@ def counterexample_search(alpha: float, c: float, m_grid) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def tail_integral(dist: DiscreteDistribution) -> float:
+def tail_identity_check(dist: DiscreteDistribution) -> tuple[float, float]:
+    """(lhs, rhs) of E|X+Y| - E|X-Y| = 2 * int_0^inf [P(X>r) - P(X<-r)]^2 dr.
+
+    The integrand is piecewise constant between consecutive values of
+    {|x_i|}, so the integral is an exact finite sum.
+    """
+    rhs = _tail_integral(dist)
+    return exact_gap(RawAbsPower(1.0), dist), rhs
+
+
+def _tail_integral(dist: DiscreteDistribution) -> float:
     """2 * int_0^inf [P(X>r) - P(X<-r)]^2 dr, the right side of the tail identity.
 
-    The identity is E|X+Y| - E|X-Y| = tail_integral(dist), whose left side is
-    ``exact_gap(RawAbsPower(1.0), dist)``.  The integrand is piecewise
-    constant between consecutive values of {|x_i|}, so the integral is an
-    exact finite sum.  On (b_{j-1}, b_j) between breaks of {0} u {|x_i|},
-    X > r (X < -r) exactly for the positive (negative) atoms with |x| >= b_j:
-    a suffix sum of weight after one stable sort by |x|, read at the first
-    atom of each break.
+    On (b_{j-1}, b_j) between breaks of {0} u {|x_i|}, X > r (X < -r) exactly
+    for the positive (negative) atoms with |x| >= b_j: a suffix sum of weight
+    after one stable sort by |x|, read at the first atom of each break.
     """
     if dist.dim != 1:
         raise DimensionMismatch("tail identity is one-dimensional")

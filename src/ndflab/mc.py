@@ -68,7 +68,6 @@ __all__ = [
 
 _CHUNK = 1 << 15
 _SUM_BLOCK = 1 << 14  # draws of the summand per block of ConvolutionSampler.draw
-_COUNTED_ATOMS = 32  # laws of up to this many atoms find a draw's index by counting, not bisection
 
 CONSISTENT = "ConsistentHolds"
 VIOLATION = "ViolationDetected"
@@ -109,15 +108,7 @@ class DiscreteSampler(SamplerSpec):
         return cdf
 
     def _indices(self, rng, count):
-        u = rng.random(count)
-        if self._cdf.size > _COUNTED_ATOMS:
-            return np.searchsorted(self._cdf, u, side="right")
-        # searchsorted's index is the count of cdf values <= u, here one pass per atom,
-        # which on few atoms is several times faster; u < 1.0 = cdf[-1] always
-        index = np.zeros(count, dtype=np.intp)
-        for c in self._cdf[:-1]:
-            index += u >= c
-        return index
+        return np.searchsorted(self._cdf, rng.random(count), side="right")
 
     def draw(self, rng, count):
         return self.distribution.atoms[self._indices(rng, count)]
@@ -216,8 +207,6 @@ class ConvolutionSampler(SamplerSpec):
         return self.spec.dim
 
     def draw(self, rng, count):
-        if self.m == 1:
-            return self.spec.draw(rng, count)
         # a row's m draws are consecutive, so row blocks take the stream in its order
         total = np.empty((count, self.dim))
         step = max(1, _SUM_BLOCK // self.m)
@@ -320,11 +309,8 @@ def _pair_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
 def _discrete_sampler(spec: SamplerSpec):
     """The DiscreteSampler whose draws ``spec``'s are, or None if it has none.
 
-    A discrete or counterexample sampler has one, and so does the m = 1 sum of
-    either, which draws exactly as its summand does.
+    A discrete or counterexample sampler has one.
     """
-    if isinstance(spec, ConvolutionSampler) and spec.m == 1:
-        spec = spec.spec
     if isinstance(spec, CounterexampleSampler):
         spec = spec._discrete
     return spec if isinstance(spec, DiscreteSampler) else None

@@ -378,8 +378,8 @@ class TestRun:
         assert report["csv"].splitlines()[0] == "lhs,rhs,abs_error"
 
     def test_tail_identity_still_flags_a_wrong_integral(self, tmp_path, monkeypatch):
-        integral = dist_mod.tail_integral
-        monkeypatch.setattr(dist_mod, "tail_integral",
+        integral = dist_mod._tail_integral
+        monkeypatch.setattr(dist_mod, "_tail_integral",
                             lambda law: integral(law) + 1e-6 * float(law.weights @ np.abs(law.atoms[:, 0])))
         assert main(["tail-identity", "--config", write(tmp_path, "t.json", TAIL_AT_SCALE)]) == 1
 

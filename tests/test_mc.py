@@ -31,7 +31,6 @@ from ndflab.core import NDF, decode, encode
 from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import (
     _CHUNK,
-    _COUNTED_ATOMS,
     _SUM_BLOCK,
     _chunk_stats,
     _combine,
@@ -513,15 +512,13 @@ def _law(rng, k, dim=1):
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(dim=st.integers(1, 3), spec_seed=st.integers(0, 2**32 - 1),
-       n=st.sampled_from([100, _CHUNK + 1, 2 * _CHUNK + 17]), wrapped=st.booleans())
-def test_finite_laws_give_the_estimates_of_the_chunked_draws(dim, spec_seed, n, wrapped):
+       n=st.sampled_from([100, _CHUNK + 1, 2 * _CHUNK + 17]))
+def test_finite_laws_give_the_estimates_of_the_chunked_draws(dim, spec_seed, n):
     # a law of k atoms with k**2 <= min(n, _CHUNK) reads psi from its pair tables, any other
     # is evaluated chunk by chunk; both must give the estimates of the per-chunk draws
     rng = np.random.default_rng(spec_seed)
     psi = random_ndf_spec(rng, dim, depth=2)
     spec = DiscreteSampler(random_distribution(rng, dim, max_atoms=20))
-    if wrapped:  # as the CLI passes every sampler
-        spec = ConvolutionSampler(spec, 1)
     seed = spec_seed % 1000
     verdict = mc_inequality_verdict(psi, spec, n, seed)
     got = [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)]
@@ -537,19 +534,6 @@ def test_finite_laws_give_the_estimates_of_the_chunked_draws(dim, spec_seed, n, 
 
 class TestFiniteLaws:
     """Discrete and counterexample laws read psi from tables over their atom pairs."""
-
-    @pytest.mark.parametrize("k", [1, 2, 7, _COUNTED_ATOMS, _COUNTED_ATOMS + 1, 100, "tie"])
-    def test_a_draw_is_the_atoms_at_the_searchsorted_indices(self, k):
-        # few atoms count cdf values <= u instead of bisecting; the indices are searchsorted's
-        if k == "tie":  # a weight too small to move the cdf leaves two equal cdf values
-            law = DiscreteDistribution(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 1e-17, 0.5]))
-        else:
-            law = _law(np.random.default_rng(k), k)
-        cdf = np.cumsum(law.weights)
-        cdf[-1] = 1.0
-        u = np.random.Generator(np.random.Philox(key=3)).random(5000)
-        expected = law.atoms[np.searchsorted(cdf, u, side="right")]
-        np.testing.assert_array_equal(sample(DiscreteSampler(law), 3, 5000), expected)
 
     @pytest.mark.parametrize("k, n, points", [
         (5, 2 * _CHUNK + 17, 2 * 5**2),  # the tables
@@ -570,7 +554,6 @@ class TestFiniteLaws:
         assert verdict.kind == VIOLATION
 
     def test_the_cli_counterexample_job_reads_the_tables(self, monkeypatch):
-        # verify-inequality samples ConvolutionSampler(sampler, 1), which draws as its sampler does
         seen = []
         eval_many = EuclideanPower.eval_many
 
@@ -590,7 +573,7 @@ class TestFiniteLaws:
             verdict.est_minus.mean, verdict.est_plus.mean)
 
     def test_memory_of_the_counterexample_verdict(self):
-        # the chunk route peaked at 2.0 MiB here, holding the drawn atoms, their sums and differences
+        # the chunk route peaked at 2.3 MiB here, holding the drawn atoms, their sums and differences
         spec = CounterexampleSampler(CounterexampleParams(3.0, 1.0, 10.0))
         tracemalloc.start()
         try:
