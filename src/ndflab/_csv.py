@@ -17,7 +17,7 @@ import numpy as np
 # path costs some 200 us a call), and a process that writes no larger
 # matrix never builds the tables nor pages in numpy code for them.
 MIN = 400
-BLOCK = 1200  # values per block, or one row; bounds the temporaries
+BLOCK = 4800  # values per block, or one row; bounds the temporaries
 # A value's slot: "-0.000", its 17 digits each followed by ".", then the
 # separator in place of the last "."; a row of the keep table picks its text out.
 SLOT = 40
@@ -67,11 +67,9 @@ def rows(matrix, head: str = "") -> str:
     """``head``, then each row of ``matrix`` as a line of comma-separated format(v, ".17g").
 
     A matrix of fewer than ``MIN`` values goes through the %.17g template.
-    A larger one is formatted a block of rows at a time (see
-    :func:`_block`), and each block's text is appended to one string.
-    CPython grows that string in place, as nothing else refers to it, so
-    the text is never held twice: joining the blocks' texts at the end
-    would need the whole text again beside them.
+    A larger one is formatted by :func:`_block` a block of rows at a time,
+    ``BLOCK`` values or one row.  The CLI passes one block per call and
+    writes its text before it formats the next.
     """
     mat = np.asarray(matrix, dtype=float)
     nrows, ncols = mat.shape
@@ -80,10 +78,7 @@ def rows(matrix, head: str = "") -> str:
         return head + "".join(line % tuple(row.tolist()) for row in mat)
     sep = np.frombuffer(b"," * (ncols - 1) + b"\n", dtype=np.uint8)
     step = max(1, BLOCK // ncols)
-    text = head
-    for i in range(0, nrows, step):
-        text += _block(mat[i:i + step], sep)
-    return text
+    return head + "".join([_block(mat[i:i + step], sep) for i in range(0, nrows, step)])
 
 
 def _block(x: np.ndarray, sep: np.ndarray) -> str:

@@ -50,7 +50,8 @@ class BbmParams:
 
 
 _COV_ROWS = 64  # rows of |t - s|^(2HK) held at a time while the covariance is built
-_DRAW_BLOCK = 1 << 16  # normals drawn and mapped through the root at a time
+_ROOT_BLOCK = 128  # columns per block of the in-place Cholesky factorisation
+_DRAW_BLOCK = 19200  # path values drawn at a time, or one row: four blocks of the CSV formatter
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -104,57 +105,74 @@ def bbm_cov_matrix(params: BbmParams, grid) -> np.ndarray:
     return cov
 
 
-def _psd_root(cov: np.ndarray) -> np.ndarray:
-    """L with L @ L.T equal to cov up to rounding: the Cholesky factor, else scaled eigenvectors.
+def _psd_root(build):
+    """(root, route, clipped): L with L @ L.T the covariance ``build()`` up to rounding.
 
-    See ``bbm_sample_paths`` for the two routes and the tolerance.
+    Route "cholesky" overwrites the matrix with its lower Cholesky factor,
+    blocked and right-looking as LAPACK's potrf: numpy's ``cholesky`` on a
+    diagonal block, a solve for the panel below it, then the panel's outer
+    product off the trailing lower triangle a block column at a time, so
+    the temporaries are a panel and one block column.  Where a block breaks
+    down (HK = 1 gives R(t, s) = t s), the covariance is built again, with
+    the same bits, for route "eigh": the eigenvectors scaled by the square
+    roots of the eigenvalues, ``clipped`` of them in [-tol, 0) clipped to
+    zero; anything below -tol raises.
     """
+    a = build()
     try:
-        return np.linalg.cholesky(cov)
+        for j in range(0, len(a), _ROOT_BLOCK):
+            e = j + _ROOT_BLOCK
+            a[j:e, j:e] = np.linalg.cholesky(a[j:e, j:e])
+            a[j:e, e:] = 0.0
+            a[e:, j:e] = np.linalg.solve(a[j:e, j:e], a[e:, j:e].T).T
+            panel = a[e:, j:e]
+            for c in range(e, len(a), _ROOT_BLOCK):
+                a[c:, c:c + _ROOT_BLOCK] -= panel[c - e:] @ panel[c - e:c - e + _ROOT_BLOCK].T
+        return a, "cholesky", 0
     except np.linalg.LinAlgError:
-        pass
+        del a
+    cov = build()
     eigvals, root = np.linalg.eigh(cov)
     tol = psd_tolerance(cov.shape[0], max(float(cov.diagonal().max()), 1.0))
     if eigvals.min() < -tol:
-        raise ValueError(
-            f"covariance indefinite (min eigenvalue {eigvals.min():.3e} < -{tol:.3e})"
-        )
+        raise ValueError(f"covariance indefinite (min eigenvalue {eigvals.min():.3e} < -{tol:.3e})")
     root *= np.sqrt(np.clip(eigvals, 0.0, None))  # the eigenvectors, scaled in place
-    return root
+    return root, "eigh", int(np.count_nonzero(eigvals < 0.0))
 
 
-def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int) -> np.ndarray:
+def bbm_sample_paths(params: BbmParams, grid, n_paths: int, seed: int, *, stream: bool = False):
     """Exact Gaussian sampling on a grid: standard normals times a root of the covariance.
 
     Returns an (n_paths, len(grid)) array: row i is path i at the grid
-    times.  The root is the Cholesky factor: a Cholesky factorisation that
-    succeeds in floating point shows that the covariance is numerically
-    positive definite, at a fraction of an eigendecomposition's time and
-    memory.  Where it breaks down, on a numerically singular covariance
-    such as R(t, s) = t s at H = 1/2, K = 2 (HK = 1), the root is the
-    eigenvectors scaled by the square roots of the eigenvalues, with
-    eigenvalues in [-tol, 0) clipped to zero; anything below -tol raises.
-    Since R(0, .) = 0, a grid that starts at t = 0 factors the covariance
-    of its later times only, and its paths start at 0 exactly.  The m
-    normals of a row (m = len(root)) come from the seed's Philox stream in
-    row order, about ``_DRAW_BLOCK`` at a time, so they are those of one
-    ``standard_normal((n_paths, m))`` draw.
+    times.  The root (see :func:`_psd_root`) takes the covariance's place.
+    Since R(0, .) = 0, a grid from t = 0 builds the covariance of its later
+    times only, and its paths start at 0 exactly.  One generator draws the
+    paths, ``_DRAW_BLOCK`` values at a time from the seed's Philox stream
+    in row order, and fills the array.  With ``stream`` no path is held:
+    the call returns (route, clipped, blocks), blocks being that generator
+    of (start, rows), each valid until the next is drawn.
     """
     g = _check_grid(grid)
     if n_paths < 1:
         raise ValueError("need at least one path")
-    cov = bbm_cov_matrix(params, g)
-    lo = 1 if g[0] == 0.0 else 0  # R(0, .) = 0: column 0 stays 0
-    root = _psd_root(cov[lo:, lo:])
-    del cov
-    paths = np.zeros((n_paths, g.size))
-    rows = min(n_paths, max(1, _DRAW_BLOCK // max(root.shape[0], 1)))
-    z = np.empty((rows, root.shape[0]))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for a in range(0, n_paths, rows):
-        block = z[:n_paths - a]
-        rng.standard_normal(out=block)
-        np.matmul(block, root.T, out=paths[a:a + rows, lo:])
+    lo = 1 if g[0] == 0.0 < g[-1] else 0  # R(0, .) = 0: column 0 stays 0
+    root, route, clipped = _psd_root(lambda: bbm_cov_matrix(params, g[lo:]))
+
+    def blocks():
+        step = min(n_paths, max(1, _DRAW_BLOCK // g.size))
+        z, rows = np.empty((step, len(root))), np.zeros((step, g.size))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        for start in range(0, n_paths, step):
+            block = z[:n_paths - start]
+            rng.standard_normal(out=block)
+            np.matmul(block, root.T, out=rows[:len(block), lo:])
+            yield start, rows[:len(block)]
+
+    if stream:
+        return route, clipped, blocks()
+    paths = np.empty((n_paths, g.size))
+    for start, rows in blocks():
+        paths[start:start + len(rows)] = rows
     return paths
 
 
@@ -165,14 +183,14 @@ def empirical_covariance(paths) -> np.ndarray:
     return np.cov(paths, rowvar=False, ddof=1)
 
 
-def paths_to_csv(grid, paths, start: int = 0, stop: int | None = None) -> str:
-    """Rows ``start:stop`` of ``paths`` as CSV lines, after a line of the grid times when start is 0.
+def paths_to_csv(grid, paths, start: int = 0) -> str:
+    """CSV lines of ``paths``, the rows from row ``start`` on, after a line of the grid times when start is 0.
 
     Each entry is the text of format(v, ".17g").  The whole CSV is the grid
-    times, then one line per path; the texts of consecutive row blocks
-    join into it.
+    times, then one line per path; the texts of consecutive row blocks,
+    each with the index of its first row, join into it.
     """
     from . import _csv  # on first use: a command that writes no matrix does not load it
 
     head = _csv.rows(np.asarray(grid, dtype=float)[None, :]) if start == 0 else ""
-    return _csv.rows(np.asarray(paths, dtype=float)[start:stop], head=head)
+    return _csv.rows(paths, head=head)

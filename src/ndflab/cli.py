@@ -49,18 +49,13 @@ def _single_row_csv(columns: list[str], values: list) -> str:
     return ",".join(columns) + "\n" + ",".join(cells) + "\n"
 
 
-_CSV_PIECE = 1 << 16  # matrix values per piece of a streamed CSV
+def _gram_csv(matrix):
+    """The CSV of a Gram matrix as an iterator of its texts, formatted as it reaches them, a formatter block each."""
+    from ._csv import BLOCK  # on first use: a command that writes no matrix does not load it
 
-
-def _streamed_csv(to_csv, matrix):
-    """The CSV of ``matrix`` as an iterator of its texts, one block of rows each.
-
-    ``to_csv(matrix, start, stop)`` formats rows start:stop only when the
-    iterator reaches them, so a report that is never written formats no
-    matrix, and only one block's text is held at a time.
-    """
-    step = max(1, _CSV_PIECE // matrix.shape[1])
-    return (to_csv(matrix, start, start + step) for start in range(0, matrix.shape[0], step))
+    step = max(1, BLOCK // matrix.shape[1])
+    for start in range(0, matrix.shape[0], step):
+        yield kernel_mod.gram_to_csv(matrix, start, start + step)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +136,9 @@ def _run_verify_inequality(psi, distribution=None, sampler=None, command=None, *
 def _run_check_kernel(psi, points, tolerance=None, command=None):
     mat = kernel_mod.gram_matrix(psi, np.asarray(points, dtype=float))
     result = kernel_mod.psd_check(mat, tolerance)
-    results = {
-        "n_points": int(mat.shape[0]),
-        "min_eigenvalue": result.min_eigenvalue,
-        "psd": result.psd,
-        "tolerance": result.tol,
-    }
-    return results, result.psd, _streamed_csv(kernel_mod.gram_to_csv, mat)
+    results = {"n_points": int(mat.shape[0]), "min_eigenvalue": result.min_eigenvalue, "psd": result.psd,
+               "tolerance": result.tol}
+    return results, result.psd, _gram_csv(mat)
 
 
 def _run_variance_identity(psi, distribution, tolerance=1e-10, command=None):
@@ -213,15 +204,11 @@ def _run_tail_identity(distribution, tolerance=1e-12, command=None):
 def _run_simulate_bbm(h, k, grid, n_paths, seed, command=None):
     params = bbm_mod.BbmParams(h, k)
     seed = mc_mod.parse_seed(seed)
-    paths = bbm_mod.bbm_sample_paths(params, grid, n_paths, seed)
-    results = {
-        "h": params.h,
-        "k": params.k,
-        "n_paths": paths.shape[0],
-        "n_grid": paths.shape[1],
-        "seed": seed,
-    }
-    return results, True, _streamed_csv(functools.partial(bbm_mod.paths_to_csv, grid), paths)
+    route, clipped, blocks = bbm_mod.bbm_sample_paths(params, grid, n_paths, seed, stream=True)
+    results = {"h": params.h, "k": params.k, "n_paths": int(n_paths), "n_grid": len(grid), "seed": seed,
+               "root": route, "clipped_eigenvalues": clipped}  # how the paths were drawn, not in the CSV
+    # each block of paths is formatted as it is drawn, when the CSV is written
+    return results, True, (bbm_mod.paths_to_csv(grid, rows, start) for start, rows in blocks)
 
 
 def _run_signed_sum(psi, pattern, command=None, **law):
@@ -291,8 +278,8 @@ def run(command: str, config: dict) -> dict:
 def emit_csv(report: dict, path: str):
     """Write the report's tabular section; a float is the text of format(v, ".17g").
 
-    A matrix's CSV is formatted here, a block of rows at a time (see
-    :func:`_streamed_csv`), so its whole text is never held.
+    A matrix's CSV is formatted here, and bBm paths drawn, a block of rows
+    at a time, so neither the whole text nor the paths are ever held.
     """
     csv = report["csv"]
     with open(path, "w", newline="") as fh:

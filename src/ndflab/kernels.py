@@ -63,17 +63,17 @@ def gram_matrix(psi, points) -> np.ndarray:
 def psd_check(matrix, tol: float | None = None) -> GramResult:
     """Minimum-eigenvalue PSD verdict for a symmetric matrix, in Python scalars.
 
-    Beside the matrix it holds one matrix-sized temporary at a time: the
-    asymmetry ``|A - A'|``, taken in place, and then ``eigvalsh``'s own copy.
+    The asymmetry ``|A - A'|`` is taken 65 536 values at a time, so the one
+    matrix-sized array beside the matrix is ``eigvalsh``'s own copy.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(float(mat.max()), -float(mat.min())) if mat.size else 0.0
-    asym = np.subtract(mat, mat.T)
-    if np.max(np.abs(asym, out=asym), initial=0.0) > 1e-12 * max(1.0, scale):
+    step = max(1, (1 << 16) // max(len(mat), 1))
+    asym = [np.max(np.abs(mat[a:a + step] - mat[:, a:a + step].T)) for a in range(0, len(mat), step)]
+    if np.max(asym, initial=0.0) > 1e-12 * max(1.0, scale):  # a NaN passes, as in one max over A - A'
         raise ValueError("matrix is not symmetric")
-    del asym
     tol = float(psd_tolerance(mat.shape[0], scale) if tol is None else tol)
     min_eig = float(np.min(np.linalg.eigvalsh(mat)))
     return GramResult(min_eigenvalue=min_eig, psd=min_eig >= -tol, tol=tol)

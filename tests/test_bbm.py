@@ -30,19 +30,17 @@ def _traced_peak(fn, *args):
 
 
 @pytest.fixture
-def linalg_calls(monkeypatch):
-    """The names of the np.linalg factorisations called during the test, in order."""
-    calls = []
+def root_routes(monkeypatch):
+    """The routes ("cholesky" or "eigh") of the roots taken during the test, in order."""
+    routes = []
 
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
+    def spy(build):
+        root, route, clipped = _psd_root(build)
+        routes.append(route)
+        return root, route, clipped
 
-    for name in ("cholesky", "eigh"):
-        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-    return calls
+    monkeypatch.setattr(bbm, "_psd_root", spy)
+    return routes
 
 
 class TestParams:
@@ -150,29 +148,29 @@ class TestSampling:
         assert a.shape == (10, 3)
         np.testing.assert_array_equal(a, b)
 
-    def test_zero_at_origin(self, linalg_calls):
+    def test_zero_at_origin(self, root_routes):
         # R(0, .) = 0: column 0 is exactly 0 through the Cholesky root and through eigh's
         for params, route in [(BbmParams(0.5, 1.0), ["cholesky"]),
-                              (BbmParams(0.5, 2.0), ["cholesky", "eigh"])]:
-            linalg_calls.clear()
+                              (BbmParams(0.5, 2.0), ["eigh"])]:
+            root_routes.clear()
             paths = bbm_sample_paths(params, [0.0, 1.0, 2.0], 20, seed=1)
-            assert linalg_calls == route
+            assert root_routes == route
             np.testing.assert_array_equal(paths[:, 0], 0.0)
             assert np.all(paths[:, 1:] != 0.0)
 
-    def test_rank_one_covariance_samples_through_eigh(self, linalg_calls):
+    def test_rank_one_covariance_samples_through_eigh(self, root_routes):
         # H = 1/2, K = 2 gives R(t, s) = t s: Cholesky breaks down, and each path
         # is one normal times the grid
         grid = np.linspace(0.1, 3.0, 30)
         paths = bbm_sample_paths(BbmParams(0.5, 2.0), grid, 50, seed=4)
-        assert linalg_calls == ["cholesky", "eigh"]
+        assert root_routes == ["eigh"]
         slope = paths @ grid / (grid @ grid)
         # the clipped and the tiny positive eigenvalues leave a remainder of order sqrt(eps)
         assert np.abs(paths - np.outer(slope, grid)).max() <= 1e-6 * np.abs(paths).max()
 
     def test_indefinite_covariance_raises(self):
         with pytest.raises(ValueError, match="covariance indefinite"):
-            _psd_root(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _psd_root(lambda: np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_paths_hold_the_root_and_the_paths(self):
         bbm_sample_paths(BbmParams(0.5, 1.0), [1.0], 1, seed=0)  # the first draw imports numpy.random (1 MB)
@@ -191,11 +189,11 @@ class TestSampling:
                 stderr = prod.std(ddof=1) / np.sqrt(prod.size)
                 assert abs(emp[i, j] - target[i, j]) <= 5 * stderr
 
-    def test_empirical_covariance_through_cholesky_in_draw_blocks(self, linalg_calls, monkeypatch):
+    def test_empirical_covariance_through_cholesky_in_draw_blocks(self, root_routes, monkeypatch):
         params = BbmParams(0.6, 1.3)
         grid = np.linspace(0.1, 2.0, 40)
-        paths = bbm_sample_paths(params, grid, 20_000, seed=3)  # 1638 rows per draw block
-        assert linalg_calls == ["cholesky"]
+        paths = bbm_sample_paths(params, grid, 20_000, seed=3)  # 120 rows per draw block
+        assert root_routes == ["cholesky"]
         emp = empirical_covariance(paths)
         target = bbm_cov_matrix(params, grid)
         # the standard error of each entry from the products of the (mean-zero) paths
@@ -213,6 +211,48 @@ class TestSampling:
         assert np.linalg.matrix_rank(empirical_covariance(twin) + 1e-30) <= 1
         with pytest.raises(ValueError):
             empirical_covariance(np.zeros((1, 1)))
+
+
+class TestRoot:
+    def test_root_reproduces_the_covariance_over_the_sampling_range(self):
+        # h, K and the horizon T as the sampling workload draws them, on its 800-point grid
+        rng = np.random.default_rng(44)
+        eps = np.finfo(float).eps
+        for _ in range(6):
+            h = rng.uniform(0.3, 0.8)
+            params = BbmParams(h, rng.uniform(0.5, min(1.5, 1.0 / h)))
+            grid = np.exp(rng.uniform(np.log(0.5), np.log(5.0))) * np.arange(1, 801) / 800
+            root, route, clipped = _psd_root(lambda: bbm_cov_matrix(params, grid))
+            cov = bbm_cov_matrix(params, grid)
+            assert (route, clipped) == ("cholesky", 0)
+            assert np.abs(root @ root.T - cov).max() <= len(grid) * eps * np.abs(cov).max()
+
+    def test_a_grid_longer_than_one_block_factors_blockwise(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+        params, grid = BbmParams(0.6, 1.3), np.linspace(0.01, 2.0, 2 * bbm._ROOT_BLOCK + 45)
+        root, route, _ = _psd_root(lambda: bbm_cov_matrix(params, grid))
+        assert route == "cholesky"
+        assert calls == [bbm._ROOT_BLOCK, bbm._ROOT_BLOCK, 45]
+        assert np.array_equal(np.tril(root), root)
+        full = cholesky(bbm_cov_matrix(params, grid))
+        assert np.abs(root - full).max() <= 1e-8 * np.abs(full).max()
+
+    def test_hk_1_falls_back_to_eigh_on_the_unmodified_covariance(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
+        params, grid = BbmParams(0.5, 2.0), np.linspace(0.1, 3.0, 300)  # R(t, s) = t s
+        root, route, clipped = _psd_root(lambda: bbm_cov_matrix(params, grid))
+        assert route == "eigh" and 0 < clipped < len(grid)
+        assert len(seen) == 1 and np.array_equal(seen[0], bbm_cov_matrix(params, grid))
+
+    def test_a_grid_from_0_samples_its_later_times_as_the_grid_without_0(self):
+        params, grid = BbmParams(0.7, 1.1), np.linspace(0.0, 2.0, 301)
+        paths = bbm_sample_paths(params, grid, 40, seed=9)
+        np.testing.assert_array_equal(paths[:, 0], 0.0)
+        np.testing.assert_array_equal(paths[:, 1:], bbm_sample_paths(params, grid[1:], 40, seed=9))
 
 
 class TestKernelIdentity:

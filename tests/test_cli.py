@@ -241,6 +241,30 @@ class TestRun:
         assert len(pieces) > 2 and all(len(piece) < len(text) / 2 for piece in pieces)
         assert "".join(pieces) == text and out.read_text() == text
 
+    @pytest.mark.parametrize("command,config,matrix_bytes,slack", [
+        # the whole run: beside the covariance, one block of paths and its text
+        ("simulate-bbm", {"h": 0.55, "k": 1.2, "grid": [2.0 * (i + 1) / 800 for i in range(800)],
+                          "n_paths": 1000, "seed": 7}, 800 * 800 * 8, 2 * 2**20),
+        ("check-kernel", {"psi": {"type": "euclidean_power", "alpha": 1, "dim": 2},
+                          "points": np.random.default_rng(8).normal(size=(600, 2)).tolist()},
+         600 * 600 * 8, 1.5 * 2**20),
+    ])
+    def test_matrix_commands_hold_one_matrix_and_one_csv_block(self, tmp_path, command, config, matrix_bytes,
+                                                               slack):
+        out = str(tmp_path / "o.csv")
+        small = {**config, **({"grid": config["grid"][:50], "n_paths": 10} if "grid" in config
+                              else {"points": config["points"][:30]})}
+        assert main([command, "--config", write(tmp_path, "s.json", small), "--out", out]) == 0  # imports
+        cfg = write(tmp_path, "c.json", config)
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", cfg, "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < matrix_bytes + slack
+
     def test_signed_sum_exact(self):
         report = run(
             "signed-sum",

@@ -29,9 +29,13 @@ def test_ties_round_half_to_even():
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(values=st.lists(st.one_of(st.floats(), st.sampled_from(EDGES), TIES), max_size=200),
-       ncols=st.integers(1, 40), size=st.sampled_from(["below cut-over", "above cut-over", "two blocks"]))
+       ncols=st.integers(1, 40), size=st.sampled_from(["below cut-over", "above cut-over", "two blocks",
+                                                       "partial last block", "row per block"]))
 def test_rows_are_the_text_of_format_17g(values, ncols, size):
+    step = _csv.BLOCK // ncols  # rows per block
     rows = {"below cut-over": (_csv.MIN - 1) // ncols, "above cut-over": _csv.MIN // ncols + 1,
-            "two blocks": _csv.BLOCK // ncols + 2}[size]
+            "two blocks": step + 2, "partial last block": 2 * step + 1, "row per block": 3}[size]
+    if size == "row per block":
+        ncols += _csv.BLOCK  # a row holds more than a block's values
     matrix = np.resize(np.array(values + EDGES), (max(rows, 1), ncols))
     assert _csv.rows(matrix, head="h\n") == "h\n" + format_rows(matrix)
