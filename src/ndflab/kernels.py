@@ -63,14 +63,14 @@ def gram_matrix(psi, points) -> np.ndarray:
 def psd_check(matrix, tol: float | None = None) -> GramResult:
     """Minimum-eigenvalue PSD verdict for a symmetric matrix, in Python scalars.
 
-    The asymmetry ``|A - A'|`` is taken 65 536 values at a time, so the one
+    The asymmetry ``|A - A'|`` is taken 4096 values at a time, so the one
     matrix-sized array beside the matrix is ``eigvalsh``'s own copy.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(float(mat.max()), -float(mat.min())) if mat.size else 0.0
-    step = max(1, (1 << 16) // max(len(mat), 1))
+    step = max(1, 4096 // max(len(mat), 1))  # heap-sized blocks: larger ones, mapped and unmapped, raise peak RSS
     asym = [np.max(np.abs(mat[a:a + step] - mat[:, a:a + step].T)) for a in range(0, len(mat), step)]
     if np.max(asym, initial=0.0) > 1e-12 * max(1.0, scale):  # a NaN passes, as in one max over A - A'
         raise ValueError("matrix is not symmetric")
