@@ -68,8 +68,8 @@ def rows(matrix, head: str = "") -> str:
 
     A matrix of fewer than ``MIN`` values goes through the %.17g template.
     A larger one is formatted by :func:`_block` a block of rows at a time,
-    ``BLOCK`` values or one row.  The CLI passes one block per call and
-    writes its text before it formats the next.
+    ``BLOCK`` values or one row.  The CLI writes each call's text before
+    the next: one Gram block or four of bBm's.
     """
     mat = np.asarray(matrix, dtype=float)
     nrows, ncols = mat.shape
