@@ -40,7 +40,7 @@ from .distributions import (
     exact_gap,
     tail_identity_check,
 )
-from .kernels import GramResult, gram_matrix, psd_check, sine_decomposition_check, variance_identity
+from .kernels import GramResult, gram_matrix, psd_check, variance_identity
 from .bbm import (
     BbmParams,
     bbm_cov_matrix,

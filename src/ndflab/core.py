@@ -209,6 +209,22 @@ class NdfSpec:
         """Evaluate at an (N, dim) batch; returns an (N,) array."""
         raise NotImplementedError
 
+    def pair_values(self, x: np.ndarray):
+        """``tile(a, b, sign)``: the (b - a, k - a) array psi(x_i + sign x_j), i in [a, b), j in [a, k).
+
+        This default forms the pair points; an override shares work across tiles.
+        """
+        k, n = x.shape
+
+        def tile(a, b, sign):
+            op = np.add if sign > 0 else np.subtract  # x_i - x_j is x_i + (-1 * x_j) bit for bit
+            pairs = np.empty((b - a, k - a, n))
+            for c in range(n):  # column by column: the same bits as a broadcast, and faster
+                op(x[a:b, c, None], x[a:, c], out=pairs[:, :, c])
+            return self.eval_many(pairs.reshape(-1, n)).reshape(b - a, k - a)
+
+        return tile
+
 
 @dataclass(frozen=True)
 class FromTriplet(NdfSpec):
@@ -220,15 +236,17 @@ class FromTriplet(NdfSpec):
     def dim(self):
         return self.triplet.dim
 
-    def eval_many(self, pts):
-        # <Q xi, xi> summed point by point in a fixed (i, j) order, so a
-        # point's value does not depend on the batch it is evaluated in
+    def _half_quadratic(self, coords):
+        # <Q xi, xi> / 2 from coordinate arrays, point by point in a fixed (i, j) order, so
+        # no value depends on its batch; a zero entry adds +-0 to +0 sums, so it is skipped
         q = self.triplet.q
-        quad = np.zeros(pts.shape[0])
-        for i in range(q.shape[0]):
-            for j in range(q.shape[1]):
-                quad += q[i, j] * pts[:, j] * pts[:, i]
-        out = 0.5 * quad
+        quad = np.zeros(coords[0].shape)
+        for i, j in zip(*np.nonzero(q)):
+            quad += q[i, j] * coords[j] * coords[i]
+        return 0.5 * quad
+
+    def eval_many(self, pts):
+        out = self._half_quadratic(pts.T)
         for u, m in self.triplet.atoms:
             t = pts @ u
             np.cos(t, out=t)
@@ -236,6 +254,35 @@ class FromTriplet(NdfSpec):
             t *= m
             out += t
         return out
+
+    def pair_values(self, x):
+        """The quadratic part as in eval_many, on the pair points; each Levy atom by half angles.
+
+        With S_i = sin(theta_i), C_i = cos(theta_i) and theta_i = <x_i, u> / 2,
+        1 - cos<x_i + sign x_j, u> = 2 (S_i C_j + sign C_i S_j)**2: rounding
+        <x_i, u> moves the atom x_i, not the pair, and each term is >= 0.
+        (i, j) and (j, i) give the same bits, and the minus tile's diagonal is 0.
+        """
+        halves = []  # (2 m, S, C) per Levy atom, over all k points
+        for u, m in self.triplet.atoms:
+            theta = 0.5 * sum(x[:, c] * u[c] for c in range(len(u)))  # theta_i from x_i alone
+            halves.append((2.0 * m, np.sin(theta), np.cos(theta)))
+
+        def tile(a, b, sign):
+            op = np.add if sign > 0 else np.subtract
+            coords = [op(x[a:b, c, None], x[a:, c]) for c in range(x.shape[1])] if self.triplet.q.any() else ()
+            out = self._half_quadratic(coords) if coords else np.zeros((b - a, len(x) - a))
+            t, t2 = np.empty_like(out), np.empty_like(out)
+            for m2, s, c in halves:
+                np.multiply(s[a:b, None], c[a:], out=t)
+                np.multiply(c[a:b, None], s[a:], out=t2)
+                op(t, t2, out=t)  # sin(theta_i + sign theta_j)
+                t *= t
+                t *= m2
+                out += t
+            return out
+
+        return tile
 
 
 @dataclass(frozen=True)
@@ -278,6 +325,10 @@ class Subordinated(NdfSpec):
     def eval_many(self, pts):
         return self.f.eval_many(self.inner.eval_many(pts))
 
+    def pair_values(self, x):
+        inner = self.inner.pair_values(x)
+        return lambda a, b, sign: self.f.eval_many(inner(a, b, sign))
+
 
 @dataclass(frozen=True)
 class ConicSum(NdfSpec):
@@ -307,6 +358,10 @@ class ConicSum(NdfSpec):
             if c != 0.0:
                 out += c * spec.eval_many(pts)
         return out
+
+    def pair_values(self, x):
+        terms = [(c, spec.pair_values(x)) for c, spec in self.terms if c != 0.0]  # added as in eval_many
+        return lambda a, b, sign: sum((c * values(a, b, sign) for c, values in terms), np.zeros((b - a, len(x) - a)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,12 @@
 """Finite discrete laws with exact expectations of psi(X +/- Y).
 
 Every expectation here is a finite sum over atom pairs, so the moment
-inequality E psi(X-Y) <= E psi(X+Y) can be checked in exact
-floating-point arithmetic, with no sampling error.  One pair engine,
-``_pair_tiles``, yields the pair values a tile of about ``_PAIR_TILE``
-pairs at a time; the sums here and in :mod:`ndflab.kernels` reduce each
-tile as it comes, so their memory is one tile's, whatever the law's size.  A signed sum of i.i.d.
-copies with m plus and m minus signs is the pair check on the m-fold sum,
-``exact_gap(psi, convolution_power(law, m))``.  The module also hosts the
-two-point family that breaks the inequality for |x|^alpha with alpha > 2,
-the tail-integral identity for E|X+Y| - E|X-Y|, and the essential-bound
-(alpha = infinity) comparison.
+inequality E psi(X-Y) <= E psi(X+Y) is checked with no sampling error.
+The sums here and in :mod:`ndflab.kernels` reduce the pair engine's
+tiles as they come, so their memory is one tile's.  A signed sum with m
+plus and m minus signs is ``exact_gap(psi, convolution_power(law, m))``.
+The module also hosts the alpha > 2 counterexample family, the tail
+identity for E|X+Y| - E|X-Y| and the essential-bound comparison.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import POINTS, VECTOR, DimensionMismatch, EuclideanPower, Record
+from .core import POINTS, VECTOR, DimensionMismatch, EuclideanPower, NdfSpec, Record
 
 __all__ = [
     "DiscreteDistribution",
@@ -154,6 +150,7 @@ class RawAbsPower:
             raise ValueError("alpha must be positive")
 
     eval_many = EuclideanPower.eval_many  # the same ||xi||_2**alpha, for any alpha
+    pair_values = NdfSpec.pair_values
 
 
 def _check_dims(psi, dist: DiscreteDistribution):
@@ -161,31 +158,21 @@ def _check_dims(psi, dist: DiscreteDistribution):
         raise DimensionMismatch(f"psi has dimension {psi.dim}, law has {dist.dim}")
 
 
-def _pair_tiles(psi, x, sign: float):
-    """Yield (a, b, tile) with tile[i - a, j - a] = psi(x_i + sign * x_j), i in [a, b), j in [a, k).
+def _pair_tiles(psi, x, *signs):
+    """Yield (a, b, *tiles), per sign tile[i - a, j - a] = psi(x_i + sign x_j), i in [a, b), j in [a, k).
 
-    The one pair engine behind every exact pair sum.  The tiles cover the
-    upper triangle j >= i of the k x k pair array in row order, each holding
-    about ``_PAIR_TILE`` pairs, so the pair points and psi temporaries take
-    O(_PAIR_TILE * n) memory.  Each tile's diagonal block is evaluated in
-    full; a pair below it is the mirror of one in it, which is exact because
-    every psi here is even bit for bit: x_j + x_i == x_i + x_j and
-    x_j - x_i == -(x_i - x_j) in IEEE arithmetic, and psi(-v) == psi(v).
-    Each tile's pairs are evaluated as one batch.  A psi whose value at a
-    point can depend on its batch (the Levy term's BLAS gemv) therefore gives
-    values, and sums, whose last bits depend on the tile shape, i.e. on k and
-    ``_PAIR_TILE``; a law with k**2 <= ``_PAIR_TILE`` is one tile, the same
-    batch as a whole-array evaluation.
+    The one pair engine behind every exact pair sum.  Its tiles, from
+    ``psi.pair_values(x)``, cover the upper triangle j >= i in row order,
+    about ``_PAIR_TILE`` pairs each.  A pair below a tile's diagonal block is
+    the mirror of one in it, exact as psi and its pair values are even bit
+    for bit; no pair's value depends on its tile.
     """
-    k, n = x.shape
+    k = x.shape[0]
     rows = max(1, _PAIR_TILE // k)
-    op = np.add if sign > 0 else np.subtract  # x_i - x_j is x_i + (-1 * x_j) bit for bit
+    tile = psi.pair_values(x)
     for a in range(0, k, rows):
         b = min(a + rows, k)
-        pairs = np.empty((b - a, k - a, n))
-        for c in range(n):  # column by column: the same bits as a broadcast, and faster
-            op(x[a:b, c, None], x[a:, c], out=pairs[:, :, c])
-        yield a, b, psi.eval_many(pairs.reshape(-1, n)).reshape(b - a, k - a)
+        yield a, b, *(tile(a, b, sign) for sign in signs)
 
 
 def _tile_form(w, a: int, b: int, tile) -> float:
@@ -203,12 +190,10 @@ def _add_forms(forms) -> float:
 
 
 def exact_expectation(psi, dist: DiscreteDistribution, mode: str) -> float:
-    """E psi(X +/- Y) = sum_{i,j} p_i p_j psi(x_i +/- x_j), exactly.
+    """E psi(X +/- Y) = sum_{i,j} p_i p_j psi(x_i +/- x_j), reduced tile by tile.
 
-    ``psi`` is any object exposing ``dim`` and ``eval_many`` (an NdfSpec
-    or a RawAbsPower probe).  The double sum is reduced tile by tile as the
-    pair engine yields them, so no k x k array is made; on a law of one
-    tile it is ``w @ A @ w`` of the whole pair array A.
+    ``psi`` is an NdfSpec or a RawAbsPower probe.  No k x k array is made;
+    on a law of one tile the sum is ``w @ A @ w`` of the pair array A.
     """
     _check_dims(psi, dist)
     if mode not in ("sum", "difference"):

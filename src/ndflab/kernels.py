@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, FromTriplet, NdfSpec, as_point, kernel_kpsi, psd_tolerance
+from .core import DimensionMismatch, psd_tolerance
 from .distributions import DiscreteDistribution, _add_forms, _check_dims, _pair_tiles, _tile_form
 
 __all__ = [
     "GramResult",
     "gram_matrix",
     "psd_check",
-    "sine_decomposition_check",
     "variance_identity",
     "gram_to_csv",
 ]
@@ -37,10 +36,8 @@ class GramResult:
 def gram_matrix(psi, points) -> np.ndarray:
     """Kernel matrix K[i, j] = psi(p_i + p_j) - psi(p_i - p_j) over a point set.
 
-    The one k x k array is the result: it is filled from the pair engine's
-    tiles of psi(p_i + p_j) - psi(p_i - p_j), each mirrored into the lower
-    triangle, so K is exactly symmetric and the pair temporaries stay one
-    tile's worth.
+    Filled from the pair engine's tiles, each mirrored into the lower
+    triangle, so K is exactly symmetric and the only k x k array.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -51,7 +48,7 @@ def gram_matrix(psi, points) -> np.ndarray:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, psi has {psi.dim}")
     k = pts.shape[0]
     mat = np.empty((k, k))
-    for (a, b, plus), (_, _, tile) in zip(_pair_tiles(psi, pts, 1.0), _pair_tiles(psi, pts, -1.0)):
+    for a, b, plus, tile in _pair_tiles(psi, pts, 1.0, -1.0):
         np.subtract(plus, tile, out=tile)
         if not np.isfinite(tile).all():
             raise ValueError("Gram matrix has non-finite entries: psi overflows on these points")
@@ -79,42 +76,19 @@ def psd_check(matrix, tol: float | None = None) -> GramResult:
     return GramResult(min_eigenvalue=min_eig, psd=min_eig >= -tol, tol=tol)
 
 
-def sine_decomposition_check(psi: NdfSpec, xi, eta) -> tuple[float, float]:
-    """(direct, decomposed) values of the kernel for a triplet-built psi.
-
-    direct is :func:`kernel_kpsi`, psi(xi+eta) - psi(xi-eta), and
-    decomposed = 2 <Q xi, eta> + 2 sum_k sin<xi, u_k> sin<eta, u_k> m_k
-    must equal it.
-    """
-    if not isinstance(psi, FromTriplet):
-        raise TypeError("sine decomposition needs an explicit Levy triplet")
-    xi = as_point(xi, psi.dim)
-    eta = as_point(eta, psi.dim)
-    t = psi.triplet
-    decomposed = 2.0 * float(xi @ t.q @ eta)
-    for u, m in t.atoms:
-        decomposed += 2.0 * m * np.sin(xi @ u) * np.sin(eta @ u)
-    return kernel_kpsi(psi, xi, eta), float(decomposed)
-
-
 def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, float, float]:
     """(quadratic_form, gap, e_plus, e_minus): w' K w over the law's atoms vs the exact moment gap.
 
-    Both equal the variance of the Gaussian functional integrated against
-    the law, so both are nonnegative for cnd psi.  The pair engine's tiles
-    of P = psi(x_i + x_j) and M = psi(x_i - x_j) are walked in step and
-    reduced as they come: e_plus = w'Pw and e_minus = w'Mw (the bits of
-    :func:`exact_gap`, gap = e_plus - e_minus) and the Gram form w'(P - M)w,
-    with P - M formed in place in each tile.  No k x k array is made.  The
-    form and the gap are one double sum added in two orders, so this checks
-    summation rounding and the sign of the form, not a second route; a
-    feature map phi with K(x, y) = <phi(x), phi(y)> would give one.
+    Both are nonnegative for cnd psi.  Each pair-engine step gives tiles of
+    P = psi(x_i + x_j) and M = psi(x_i - x_j): e_plus = w'Pw and e_minus =
+    w'Mw (the bits of :func:`exact_gap`) and the form w'(P - M)w, with P - M
+    formed in place.  The form and the gap are one double sum added in two
+    orders: this checks rounding and the form's sign, not a second route.
     """
     _check_dims(psi, dist)
     w = dist.weights
     forms = []  # per tile: its shares of w'Pw, w'Mw and w'Kw
-    for (a, b, plus), (_, _, minus) in zip(_pair_tiles(psi, dist.atoms, 1.0),
-                                           _pair_tiles(psi, dist.atoms, -1.0)):
+    for a, b, plus, minus in _pair_tiles(psi, dist.atoms, 1.0, -1.0):
         shares = _tile_form(w, a, b, plus), _tile_form(w, a, b, minus)
         plus -= minus  # this tile of the Gram matrix K, in place
         forms.append((*shares, _tile_form(w, a, b, plus)))

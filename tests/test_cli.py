@@ -11,7 +11,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ndflab import CounterexampleParams, RawAbsPower, counterexample_distribution, variance_identity
+from ndflab import (CounterexampleParams, DiscreteDistribution, FromTriplet, LevyTriplet, RawAbsPower,
+                    counterexample_distribution, variance_identity)
 from ndflab import bbm as bbm_mod
 from ndflab import cli
 from ndflab import distributions as dist_mod
@@ -44,6 +45,31 @@ QUADRATIC_AT_SCALE = {
         "weights": [0.18005898683519805, 0.11643993410303331, 0.2352976176272336, 0.05396189023791391,
                     0.13514582596309044, 0.15154579195335788, 0.12754995328017274],
     },
+}
+
+# battery seed 1 j0120 and seed 2 j0194: check-kernel on triplet specs, which
+# failed while the Levy term was evaluated at the formed pair points.  j0120
+# has points at scale 1e4; j0194 at scale 0.03 fell short by -2.4e-16
+# against a tolerance of 1.5e-16.
+FALSE_KERNEL_FAILURES = {
+    "seed 1 j0120": """{"psi": {"type": "from_triplet", "dim": 3, "a": 0.0,
+        "q": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "atoms": [{"u": [-0.16494027006846412, -0.004183433631016838, -0.6129223281335484], "m": 1.0041557329559188},
+                  {"u": [1.3427960973792694, 0.7198768219874367, -1.1637837450820094], "m": 0.5898857800222869}]},
+      "points": [[-12861.855908106121, 5757.972145532713, 2025.8278712480803],
+                 [1893.0771083908444, 7564.680094395579, 4316.339702546067],
+                 [9333.984118513667, 4390.4205610091985, -121.36327797081589],
+                 [5697.161943970671, -3541.347941702107, -4548.174795400265],
+                 [-3637.2801072839056, 4869.490012713188, 2077.0892266776546],
+                 [-6417.551989319267, 4025.219558609518, 2097.4707508374904],
+                 [7958.952998432553, -3205.177261625865, -1003.5110957325936]]}""",
+    "seed 2 j0194": """{"psi": {"type": "conic_sum", "dim": 1, "terms": [[0.7023847646415,
+        {"type": "from_triplet", "dim": 1, "a": 0.0, "q": [[0.21906206248327076]],
+         "atoms": [{"u": [0.47802625808104615], "m": 1.5644550085275388}]}]]},
+      "points": [[0.019572941514812914], [0.01222715923882107], [-0.00434097801439153],
+                 [-0.01176170811347868], [-0.036285123116439756], [0.023791682357636693],
+                 [-0.006529568701091095], [-0.030774279741882127], [-0.004683901909845325],
+                 [-0.013387137997000016]]}""",
 }
 
 # (command, config, path of the field at fault) for configs the field tables reject
@@ -351,6 +377,33 @@ class TestRun:
             assert report["passed"], report["results"]
         assert report["results"]["tolerance"] == 1e-10
         assert report["results"]["rounding_tolerance"] > 0.0
+
+    def test_two_atom_cosine_laws_with_a_zero_gap_pass_at_any_scale(self):
+        # psi = 1 - cos x has gap 2 (sum_i w_i sin x_i)^2, 0 for weights in
+        # the ratio |sin x_2| : |sin x_1| on atoms whose sines differ in sign.
+        # At |x| up to 1e9 the argument x_i +/- x_j rounds by about eps * 1e9,
+        # far past eps * k * (E+ + E-), where the half-angle form rounds x_i
+        # alone: 291 of these 1000 laws failed when the pairs were formed.
+        psi = FromTriplet(LevyTriplet(np.zeros((1, 1)), (([1.0], 1.0),)))
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 1000:
+            x = rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(4.0, 9.0, size=2)
+            s = np.sin(x)
+            if s[0] * s[1] >= 0:
+                continue
+            w = np.abs(s[::-1]) / np.abs(s).sum()
+            law = DiscreteDistribution(x[:, None], w / w.sum())
+            if law.n_atoms != 2:
+                continue
+            checked += 1
+            results, passed = _exact_check(psi, law, 1e-10)
+            assert passed, (x, results)
+
+    @pytest.mark.parametrize("job", sorted(FALSE_KERNEL_FAILURES))
+    def test_battery_triplet_kernels_are_positive_semidefinite(self, tmp_path, job):
+        cfg = write(tmp_path, "c.json", json.loads(FALSE_KERNEL_FAILURES[job]))
+        assert main(["check-kernel", "--config", cfg, "--out", str(tmp_path / "k.csv")]) == 0
 
     def test_exact_tolerance_still_flags_the_counterexample(self):
         law = counterexample_distribution(CounterexampleParams(3.0, 1.0, 10.0))

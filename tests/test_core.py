@@ -216,6 +216,37 @@ def test_quadratic_form_of_a_point_does_not_depend_on_its_batch(dim, spec_seed, 
             assert psi.eval_many(pts[a:b])[k - a] == batch[k]
 
 
+def _full_loop_quadratic(q, pts):
+    """0.5 <Q p, p> with every (i, j) entry added, zero or not, in row-major order."""
+    quad = np.zeros(pts.shape[0])
+    for i in range(q.shape[0]):
+        for j in range(q.shape[1]):
+            quad += q[i, j] * pts[:, j] * pts[:, i]
+    return 0.5 * quad
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), spec_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_skipping_zero_q_entries_keeps_every_bit(dim, spec_seed, n, sign):
+    # a zero entry adds +-0 to a sum that starts at +0; -0.0 coordinates make
+    # some of those terms -0, and a partly zero Q leaves zero and nonzero entries
+    rng = np.random.default_rng(spec_seed)
+    a = rng.normal(size=(dim, dim))
+    q = a @ a.T
+    dropped = rng.random(dim) < 0.5  # zero rows and columns keep Q positive semidefinite
+    q[dropped], q[:, dropped] = 0.0, 0.0
+    psi = FromTriplet(LevyTriplet(q=q))
+    pts = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    pts[rng.random((n, dim)) < 0.3] = -0.0
+    pts[rng.random((n, dim)) < 0.1] = 0.0
+    bits = lambda v: np.asarray(v).view(np.int64)
+    assert np.array_equal(bits(psi.eval_many(pts)), bits(_full_loop_quadratic(psi.triplet.q, pts)))
+    pairs = (pts[:, None] + sign * pts[None]).reshape(-1, dim)
+    tile = psi.pair_values(pts)(0, n, sign)
+    assert np.array_equal(bits(tile.ravel()), bits(_full_loop_quadratic(psi.triplet.q, pairs)))
+
+
 @pytest.mark.parametrize("module", ["core", "distributions", "kernels", "mc", "bbm"])
 def test_every_public_name_resolves(module):
     # the benchmark's tracer maps layers from __all__ and skips a missing name without a word

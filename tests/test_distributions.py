@@ -30,7 +30,7 @@ from ndflab import (
 from ndflab.core import decode, encode
 from ndflab import distributions
 from ndflab.distributions import DISTRIBUTION, _pair_tiles, _tail_integral
-from randgen import random_distribution, random_ndf_spec, random_sign_pattern
+from randgen import random_distribution, random_ndf_spec, random_sign_pattern, random_triplet_spec
 
 ABS1 = EuclideanPower(1.0, 1)
 
@@ -451,9 +451,8 @@ def _assembled(psi, x, sign):
 
 
 def _whole(psi, x, sign):
-    """The k x k pair array psi(x_i + sign * x_j) evaluated as one batch."""
-    k, dim = x.shape
-    return psi.eval_many((x[:, None] + sign * x[None]).reshape(-1, dim)).reshape(k, k)
+    """The k x k pair array psi(x_i + sign * x_j) from the pair method as one tile."""
+    return psi.pair_values(x)(0, x.shape[0], sign)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -526,6 +525,30 @@ def test_multi_tile_sums_agree_with_the_whole_array_forms(dim, k, spec_seed, raw
     for got, mat in ((e_plus, plus), (e_minus, minus), (vi_plus, plus), (vi_minus, minus), (quad, kernel)):
         assert abs(got - w @ mat @ w) <= 8.0 * eps * k * (w @ np.abs(mat) @ w)
     assert (vi_plus, vi_minus, gap) == (e_plus, e_minus, e_plus - e_minus)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.integers(1, 40),
+    sign=st.sampled_from([1.0, -1.0]),
+    spec_seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 6.0),
+)
+def test_triplet_pair_values_agree_with_eval_many_on_the_pair_points(dim, k, sign, spec_seed, log_scale):
+    # Both sides round <x, u> in their own way: eval_many on the formed point
+    # x_i + sign x_j, the half-angle form on x_i and x_j apiece; cos moves by
+    # at most the argument's error, about eps * sum_l (|x_il| + |x_jl|) |u_l|
+    # per atom.  The additions of the terms round at the size of psi itself,
+    # which the quadratic part can dominate.  c = 16 was fixed from a
+    # first-order count of these roundings in dimension 3, not fitted.
+    rng = np.random.default_rng(spec_seed)
+    psi = random_triplet_spec(rng, dim)
+    x = rng.normal(scale=10.0**log_scale, size=(k, dim))
+    direct = psi.eval_many((x[:, None] + sign * x[None]).reshape(-1, dim)).reshape(k, k)
+    size = np.abs(x)[:, None] + np.abs(x)[None]  # |x_il| + |x_jl|
+    scale = sum(m * (1.0 + size @ np.abs(u)) for u, m in psi.triplet.atoms) + np.abs(direct)
+    assert np.all(np.abs(psi.pair_values(x)(0, k, sign) - direct) <= 16.0 * np.finfo(float).eps * scale)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

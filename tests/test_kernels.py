@@ -15,13 +15,32 @@ from ndflab import (
     gram_matrix,
     kernel_kpsi,
     psd_check,
-    sine_decomposition_check,
     variance_identity,
 )
 from ndflab.kernels import gram_to_csv
 from randgen import random_distribution, random_ndf_spec, random_triplet_spec
 
 ABS1 = EuclideanPower(1.0, 1)
+
+
+def sine_decomposition_check(psi, xi, eta):
+    """(direct, decomposed) values of the kernel for a triplet-built psi.
+
+    direct is :func:`kernel_kpsi`, psi(xi+eta) - psi(xi-eta), and
+    decomposed = 2 <Q xi, eta> + 2 sum_k sin<xi, u_k> sin<eta, u_k> m_k
+    must equal it.  The right side is a route of its own: one sine per
+    point and atom, no pair point formed, so it is the oracle of the pair
+    engine's half-angle form as well.
+    """
+    if not isinstance(psi, FromTriplet):
+        raise TypeError("sine decomposition needs an explicit Levy triplet")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    t = psi.triplet
+    decomposed = 2.0 * float(xi @ t.q @ eta)
+    for u, m in t.atoms:
+        decomposed += 2.0 * m * np.sin(xi @ u) * np.sin(eta @ u)
+    return kernel_kpsi(psi, xi, eta), float(decomposed)
 
 
 class TestGramMatrix:
@@ -101,6 +120,24 @@ class TestSineDecomposition:
                 xi, eta = rng.normal(scale=2.0, size=(2, dim))
                 direct, decomposed = sine_decomposition_check(psi, xi, eta)
                 assert abs(direct - decomposed) <= 1e-12 * (1.0 + abs(direct))
+
+
+    def test_gram_of_a_triplet_is_the_decomposition(self):
+        # the pair engine's half-angle form against the oracle's sines, at
+        # scales up to 1e4 where the arguments themselves round by ~eps * 1e4
+        rng = np.random.default_rng(34)
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            dim = int(rng.integers(1, 4))
+            psi = random_triplet_spec(rng, dim)
+            pts = rng.normal(scale=10.0 ** rng.uniform(-2.0, 4.0), size=(int(rng.integers(1, 20)), dim))
+            mat = gram_matrix(psi, pts)
+            for i, j in zip(*np.triu_indices(len(pts))):
+                _, decomposed = sine_decomposition_check(psi, pts[i], pts[j])
+                size = np.abs(pts[i]) + np.abs(pts[j])
+                scale = sum(m * (1.0 + size @ np.abs(u)) for u, m in psi.triplet.atoms)
+                scale += psi.eval_many(np.stack([pts[i] + pts[j], pts[i] - pts[j]])).sum()
+                assert abs(mat[i, j] - decomposed) <= 16.0 * eps * scale
 
 
 class TestVarianceIdentity:
