@@ -31,9 +31,10 @@ from . import bbm as bbm_mod
 from . import distributions as dist_mod
 from . import kernels as kernel_mod
 from . import mc as mc_mod
-from .core import (NDF, NONNEGATIVE, NUMBER, POINTS, POSITIVE, VECTOR, Record,
-                   canonical_dumps, decode, encode, json_schema)
+from .core import NDF
 from .distributions import ALPHA_ABOVE_2, DISTRIBUTION
+from .fields import (NONNEGATIVE, NUMBER, POINTS, POSITIVE, VECTOR, Record, canonical_dumps, decode, encode,
+                     json_schema)
 from .mc import SAMPLERS
 
 def _fmt(x: float) -> str:

@@ -13,18 +13,14 @@ over point batches is the primitive, with scalar wrappers on top.
 
 from __future__ import annotations
 
-import json
-import math
-import numbers
-import operator
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import DIM, NONNEGATIVE, POSITIVE, VECTOR, Family, Record, nonempty, pair
+
 __all__ = [
     "SpecError",
-    "ConfigError",
     "DimensionMismatch",
     "LevyTriplet",
     "BernsteinSpec",
@@ -43,7 +39,6 @@ __all__ = [
     "metric_dpsi",
     "kernel_kpsi",
     "psd_tolerance",
-    "canonical_dumps",
 ]
 
 
@@ -236,17 +231,15 @@ class FromTriplet(NdfSpec):
     def dim(self):
         return self.triplet.dim
 
-    def _half_quadratic(self, coords):
-        # <Q xi, xi> / 2 from coordinate arrays, point by point in a fixed (i, j) order, so
-        # no value depends on its batch; a zero entry adds +-0 to +0 sums, so it is skipped
-        q = self.triplet.q
-        quad = np.zeros(coords[0].shape)
-        for i, j in zip(*np.nonzero(q)):
-            quad += q[i, j] * coords[j] * coords[i]
-        return 0.5 * quad
-
     def eval_many(self, pts):
-        out = self._half_quadratic(pts.T)
+        # <Q xi, xi> summed point by point in a fixed (i, j) order, so a
+        # point's value does not depend on the batch it is evaluated in; a
+        # zero entry adds +-0 to a sum that starts at +0, so it is skipped
+        q = self.triplet.q
+        quad = np.zeros(pts.shape[0])
+        for i, j in zip(*np.nonzero(q)):
+            quad += q[i, j] * pts[:, j] * pts[:, i]
+        out = 0.5 * quad
         for u, m in self.triplet.atoms:
             t = pts @ u
             np.cos(t, out=t)
@@ -256,23 +249,32 @@ class FromTriplet(NdfSpec):
         return out
 
     def pair_values(self, x):
-        """The quadratic part as in eval_many, on the pair points; each Levy atom by half angles.
-
-        With S_i = sin(theta_i), C_i = cos(theta_i) and theta_i = <x_i, u> / 2,
-        1 - cos<x_i + sign x_j, u> = 2 (S_i C_j + sign C_i S_j)**2: rounding
-        <x_i, u> moves the atom x_i, not the pair, and each term is >= 0.
-        (i, j) and (j, i) give the same bits, and the minus tile's diagonal is 0.
-        """
+        # The quadratic part is eval_many's loop on the pair points, each
+        # coordinate formed where it is used.  A Levy atom's term comes from
+        # half angles: with theta_i = <x_i, u> / 2, S_i = sin(theta_i) and
+        # C_i = cos(theta_i), 1 - cos<x_i + sign x_j, u> = 2 (S_i C_j + sign C_i S_j)**2.
+        # Rounding <x_i, u> moves the atom x_i, not the pair, and each term is
+        # >= 0; (i, j) and (j, i) give the same bits, and the minus tile's diagonal is 0.
+        q = self.triplet.q
         halves = []  # (2 m, S, C) per Levy atom, over all k points
         for u, m in self.triplet.atoms:
             theta = 0.5 * sum(x[:, c] * u[c] for c in range(len(u)))  # theta_i from x_i alone
             halves.append((2.0 * m, np.sin(theta), np.cos(theta)))
 
+        scratch = np.empty(0)  # t and t2 of every tile, made once for the law's first, largest tile
+
         def tile(a, b, sign):
+            nonlocal scratch
             op = np.add if sign > 0 else np.subtract
-            coords = [op(x[a:b, c, None], x[a:, c]) for c in range(x.shape[1])] if self.triplet.q.any() else ()
-            out = self._half_quadratic(coords) if coords else np.zeros((b - a, len(x) - a))
-            t, t2 = np.empty_like(out), np.empty_like(out)
+            out = np.zeros((b - a, len(x) - a))
+            if scratch.size < 2 * out.size:
+                scratch = np.empty(2 * out.size)
+            t, t2 = scratch[:2 * out.size].reshape((2,) + out.shape)
+            for i, j in zip(*np.nonzero(q)):
+                np.multiply(op(x[a:b, j, None], x[a:, j], out=t), q[i, j], out=t)
+                t *= op(x[a:b, i, None], x[a:, i], out=t2)
+                out += t
+            out *= 0.5
             for m2, s, c in halves:
                 np.multiply(s[a:b, None], c[a:], out=t)
                 np.multiply(c[a:b, None], s[a:], out=t2)
@@ -360,8 +362,17 @@ class ConicSum(NdfSpec):
         return out
 
     def pair_values(self, x):
-        terms = [(c, spec.pair_values(x)) for c, spec in self.terms if c != 0.0]  # added as in eval_many
-        return lambda a, b, sign: sum((c * values(a, b, sign) for c, values in terms), np.zeros((b - a, len(x) - a)))
+        terms = [(c, spec.pair_values(x)) for c, spec in self.terms if c != 0.0]
+
+        def tile(a, b, sign):
+            out = np.zeros((b - a, len(x) - a))
+            for c, values in terms:  # in eval_many's order, each term's tile scaled in place
+                v = values(a, b, sign)
+                v *= c
+                out += v
+            return out
+
+        return tile
 
 
 # ---------------------------------------------------------------------------
@@ -396,59 +407,9 @@ def kernel_kpsi(psi: NdfSpec, xi, eta) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: one field table per tagged family, read by decode, encode
+# JSON field tables of the spec families, read by fields.decode, encode
 # and json_schema
 # ---------------------------------------------------------------------------
-
-MAX_DEPTH = 100  # objects and arrays a config may nest below its root
-
-
-class ConfigError(ValueError):
-    """A config or spec object does not fit its field table; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class Record:
-    """An object kind: its fields' kinds, the required ones, and how to build and read it.
-
-    A kind is a Record, a Family or a JSON Schema fragment.  Exactly one of
-    the ``one_of`` fields must be given, a field in ``needs`` requires the
-    fields it maps to, and a given ``dim`` must equal the built object's.
-    ``read`` gives an object's fields back (by default its attributes);
-    ``cls`` is the class built where ``build`` is not one.
-    """
-
-    build: object
-    fields: dict
-    required: tuple = ()
-    one_of: tuple = ()
-    needs: dict = field(default_factory=dict)
-    cls: type | None = None
-    read: object = None
-
-
-@dataclass(frozen=True)
-class Family:
-    """A tagged union of records, told apart by their objects' "type" field."""
-
-    name: str
-    records: dict
-
-
-def nonempty(items) -> dict:
-    return {"type": "array", "items": items, "minItems": 1}
-
-
-def pair(first, second) -> dict:
-    return {"type": "array", "prefixItems": [first, second], "minItems": 2, "items": False}
-
-
-NUMBER = {"type": "number"}
-NONNEGATIVE = {"type": "number", "minimum": 0}
-POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-DIM = {"type": "integer", "minimum": 1}
-VECTOR = nonempty(NUMBER)
-POINTS = nonempty({**VECTOR, "type": ["number", "array"]})  # each point a number or a vector
 
 BERNSTEIN = Family("bernstein", {
     "triplet": Record(BernsteinTriplet, {
@@ -471,148 +432,3 @@ NDF.records.update({
     "conic_sum": Record(lambda terms, dim=None: ConicSum(terms), {
         "dim": DIM, "terms": nonempty(pair(NONNEGATIVE, NDF))}, ("terms",), cls=ConicSum),
 })
-
-
-def _error(path: tuple, message: str) -> ConfigError:
-    return ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {message}")
-
-
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _json_type(value) -> str:
-    """The value's JSON type; integral floats are integers, as in JSON Schema."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return "integer" if isinstance(value, int) or float(value).is_integer() else "number"
-    names = {bool: "boolean", str: "string", list: "array", dict: "object", type(None): "null"}
-    return names.get(type(value), type(value).__name__)
-
-
-_BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt, "maximum": operator.le}
-
-
-def decode(kind, value, path: tuple = (), depth: int = 0):
-    """Check ``value`` against ``kind`` at every depth and return it built.
-
-    Values of integer kinds come back as int, and records built by their
-    constructors.  A misfit, a number that is not finite, or nesting past
-    MAX_DEPTH raises ConfigError naming the path of the field at fault; a
-    constructor's ValueError is raised as a ConfigError naming its record's
-    path, with the error as its ``__cause__``.
-    """
-    actual = _json_type(value)
-    if actual in ("array", "object") and depth >= MAX_DEPTH:
-        raise _error(path, f"nested deeper than {MAX_DEPTH} levels")
-    if isinstance(kind, (Record, Family)):
-        return _decode_object(kind, value, actual, path, depth)
-    allowed = kind["type"] if isinstance(kind["type"], list) else [kind["type"]]
-    if actual not in allowed and not (actual == "integer" and "number" in allowed):
-        raise _error(path, f"expected {' or '.join(allowed)}, got {actual}")
-    if actual == "array":
-        if len(value) < kind.get("minItems", 0):
-            raise _error(path, f"expected at least {kind['minItems']} items, got {len(value)}")
-        kinds = kind.get("prefixItems") or [kind["items"]] * len(value)
-        if len(value) > len(kinds):
-            raise _error(path, f"expected at most {len(kinds)} items, got {len(value)}")
-        if kind.get("items") is NUMBER and all(type(v) in (float, int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
-                                               for v in value):
-            return value  # a plain finite vector, checked in one pass
-        return [decode(k, v, path + (i,), depth + 1) for i, (k, v) in enumerate(zip(kinds, value))]
-    if actual == "string":
-        if value != kind.get("const", value):
-            raise _error(path, f"expected {kind['const']!r}, got {value!r}")
-        if not re.search(kind.get("pattern", ""), value):
-            raise _error(path, f"{value!r} does not match {kind['pattern']}")
-        return value
-    if actual == "number" and not math.isfinite(value):  # NaN, Infinity or an overflowing literal
-        raise _error(path, f"expected a finite number, got {value!r}")
-    if actual == "integer" and not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # compared exactly, as an int
-        raise _error(path, "expected a finite number, got an integer beyond float64")
-    if value not in kind.get("enum", [value]):
-        raise _error(path, f"expected one of {kind['enum']}, got {value!r}")
-    for key, holds in _BOUNDS.items():
-        if key in kind and not holds(value, kind[key]):
-            raise _error(path, f"expected {key} {kind[key]}, got {value!r}")
-    return int(value) if actual == "integer" and "integer" in allowed else value
-
-
-def _decode_object(kind, obj, actual, path, depth):
-    if actual != "object":
-        raise _error(path, f"expected object, got {actual}")
-    record, given = kind, dict(obj)
-    if isinstance(kind, Family):
-        tag = given.pop("type", None)
-        record = kind.records.get(tag) if isinstance(tag, str) else None
-        if record is None:
-            raise _error(path + ("type",), f"expected one of {list(kind.records)}, got {tag!r}")
-    unknown = [name for name in given if name not in record.fields]
-    needed = (need for name, needs in record.needs.items() if name in given for need in needs)
-    missing = [name for name in (*record.required, *needed) if name not in given]
-    if unknown or missing:
-        raise _error(path + ((unknown or missing)[0],), "unknown field" if unknown else "missing field")
-    if record.one_of and sum(name in given for name in record.one_of) != 1:
-        raise _error(path, f"expected exactly one of the fields {' and '.join(record.one_of)}")
-    fields = {name: decode(record.fields[name], value, path + (name,), depth + 1)
-              for name, value in given.items()}
-    try:
-        built = record.build(**fields)
-        if "dim" in fields and fields["dim"] != built.dim:
-            raise SpecError(f"declared dimension {fields['dim']} disagrees with the spec's {built.dim}")
-    except ValueError as exc:  # an invariant across fields, e.g. a Q that is not PSD
-        raise _error(path, str(exc)) from exc
-    return built
-
-
-def encode(kind, value):
-    """The JSON object that :func:`decode` turns into ``value``."""
-    if isinstance(kind, Family):
-        tag, record = next((tag, r) for tag, r in kind.records.items()
-                           if isinstance(value, r.cls or r.build))
-        return {"type": tag, **encode(record, value)}
-    if isinstance(kind, Record):
-        fields = kind.read(value) if kind.read else {name: getattr(value, name) for name in kind.fields}
-        return {name: encode(kind.fields[name], v) for name, v in fields.items()}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [encode(k, v) for k, v in zip(kind.get("prefixItems") or [kind["items"]] * len(value), value)]
-    return value
-
-
-def json_schema(kind) -> dict:
-    """The JSON Schema (draft 2020-12) of what ``kind`` decodes, families under ``$defs``.
-
-    It states every check of :func:`decode` but the depth cap, finiteness
-    (JSON has no non-finite numbers) and the constructors' invariants
-    across fields.
-    """
-    defs = {}
-
-    def emit(k):
-        if isinstance(k, Family):
-            if k.name not in defs:
-                defs[k.name] = {}  # a family may hold itself
-                defs[k.name] = {"oneOf": [record(r, {"type": {"const": tag}})
-                                          for tag, r in k.records.items()]}
-            return {"$ref": f"#/$defs/{k.name}"}
-        if isinstance(k, Record):
-            return record(k, {})
-        if isinstance(k, dict):
-            return {key: emit(v) for key, v in k.items()}
-        return [emit(v) for v in k] if isinstance(k, list) else k
-
-    def record(r, tag):
-        out = {"type": "object", "properties": {**tag, **emit(r.fields)},
-               "required": [*tag, *r.required], "additionalProperties": False}
-        if r.one_of:
-            out["oneOf"] = [{"required": [name]} for name in r.one_of]
-        if r.needs:
-            out["dependentRequired"] = {name: list(needs) for name, needs in r.needs.items()}
-        return out
-
-    return {"$schema": "https://json-schema.org/draft/2020-12/schema", **emit(kind), "$defs": defs}
-
-
-def canonical_dumps(obj) -> str:
-    """Deterministic JSON serialisation: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

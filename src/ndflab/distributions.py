@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import POINTS, VECTOR, DimensionMismatch, EuclideanPower, NdfSpec, Record
+from .core import DimensionMismatch, EuclideanPower, NdfSpec
+from .fields import POINTS, VECTOR, Record
 
 __all__ = [
     "DiscreteDistribution",

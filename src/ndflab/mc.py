@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIM, NUMBER, POSITIVE, VECTOR, DimensionMismatch, Family, Record, as_point
+from .core import DimensionMismatch, as_point
+from .fields import DIM, NUMBER, POSITIVE, VECTOR, Family, Record
 from .distributions import (
     ALPHA_ABOVE_2,
     DISTRIBUTION,

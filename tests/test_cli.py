@@ -19,7 +19,8 @@ from ndflab import distributions as dist_mod
 from ndflab import kernels as kernel_mod
 from ndflab import mc as mc_mod
 from ndflab.cli import _exact_check, main, run
-from ndflab.core import BERNSTEIN, MAX_DEPTH, NDF, ConfigError, canonical_dumps, decode, encode, json_schema
+from ndflab.core import BERNSTEIN, NDF
+from ndflab.fields import MAX_DEPTH, ConfigError, canonical_dumps, decode, encode, json_schema
 from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import SAMPLERS
 from randgen import random_distribution, random_ndf_spec, random_sampler

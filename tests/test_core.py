@@ -22,7 +22,8 @@ from ndflab import (
     kernel_kpsi,
     metric_dpsi,
 )
-from ndflab.core import BERNSTEIN, NDF, DimensionMismatch, canonical_dumps, decode, encode
+from ndflab.core import BERNSTEIN, NDF, DimensionMismatch
+from ndflab.fields import canonical_dumps, decode, encode
 from randgen import random_bernstein, random_ndf_spec, random_triplet_spec
 
 

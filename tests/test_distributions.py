@@ -27,7 +27,7 @@ from ndflab import (
     tail_identity_check,
     variance_identity,
 )
-from ndflab.core import decode, encode
+from ndflab.fields import decode, encode
 from ndflab import distributions
 from ndflab.distributions import DISTRIBUTION, _pair_tiles, _tail_integral
 from randgen import random_distribution, random_ndf_spec, random_sign_pattern, random_triplet_spec

@@ -27,7 +27,8 @@ from ndflab import (
     sample,
 )
 from ndflab.cli import _exact_check, run
-from ndflab.core import NDF, decode, encode
+from ndflab.core import NDF
+from ndflab.fields import decode, encode
 from ndflab.distributions import DISTRIBUTION
 from ndflab.mc import (
     _CHUNK,
