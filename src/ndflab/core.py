@@ -8,7 +8,8 @@ evaluations are exact (no quadrature): Levy measures are restricted to
 finitely many atoms, so the cosine integral collapses to a finite sum.
 
 Every spec is immutable and evaluation is pure; vectorised evaluation
-over point batches is the primitive, with scalar wrappers on top.
+over point batches is the primitive, with scalar wrappers on top, and
+``pair_values`` gives psi(x_i +/- x_j) over a point set a tile at a time.
 """
 
 from __future__ import annotations
@@ -205,9 +206,11 @@ class NdfSpec:
         raise NotImplementedError
 
     def pair_values(self, x: np.ndarray):
-        """``tile(a, b, sign)``: the (b - a, k - a) array psi(x_i + sign x_j), i in [a, b), j in [a, k).
+        """``tile(a, b, sign)``, giving the (b - a, k - a) array psi(x_i + sign x_j), i in [a, b), j in [a, k).
 
-        This default forms the pair points; an override shares work across tiles.
+        This default evaluates the tile's pair points with ``eval_many``.  An
+        override may do per-point work once for every tile; a pair's value must
+        not depend on its tile, and (i, j) and (j, i) must give the same bits.
         """
         k, n = x.shape
 
