@@ -97,7 +97,8 @@ def _block(x: np.ndarray, sep: np.ndarray) -> str:
         slot[slow, :24] = texts
         keep[slow, :-1] = False
         keep[slow, :24] = texts != ord(" ")
-    return str(np.compress(keep.reshape(-1), slot.reshape(-1)), "ascii")
+    slot *= keep  # the bytes not kept become NUL, which no text holds, and are deleted
+    return slot.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _slots(values: np.ndarray):

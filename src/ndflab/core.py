@@ -208,20 +208,10 @@ class NdfSpec:
     def pair_values(self, x: np.ndarray):
         """``tile(a, b, sign)``, giving the (b - a, k - a) array psi(x_i + sign x_j), i in [a, b), j in [a, k).
 
-        This default evaluates the tile's pair points with ``eval_many``.  An
-        override may do per-point work once for every tile; a pair's value must
+        A method may do per-point work once for every tile; a pair's value must
         not depend on its tile, and (i, j) and (j, i) must give the same bits.
         """
-        k, n = x.shape
-
-        def tile(a, b, sign):
-            op = np.add if sign > 0 else np.subtract  # x_i - x_j is x_i + (-1 * x_j) bit for bit
-            pairs = np.empty((b - a, k - a, n))
-            for c in range(n):  # column by column: the same bits as a broadcast, and faster
-                op(x[a:b, c, None], x[a:, c], out=pairs[:, :, c])
-            return self.eval_many(pairs.reshape(-1, n)).reshape(b - a, k - a)
-
-        return tile
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -252,32 +242,37 @@ class FromTriplet(NdfSpec):
         return out
 
     def pair_values(self, x):
-        # The quadratic part is eval_many's loop on the pair points, each
-        # coordinate formed where it is used.  A Levy atom's term comes from
+        # The quadratic part is eval_many's loop on the pair points, with each
+        # coordinate's pair difference formed once per tile.  A Levy atom's term comes from
         # half angles: with theta_i = <x_i, u> / 2, S_i = sin(theta_i) and
         # C_i = cos(theta_i), 1 - cos<x_i + sign x_j, u> = 2 (S_i C_j + sign C_i S_j)**2.
         # Rounding <x_i, u> moves the atom x_i, not the pair, and each term is
         # >= 0; (i, j) and (j, i) give the same bits, and the minus tile's diagonal is 0.
         q = self.triplet.q
+        entries = list(zip(*np.nonzero(q)))
+        coords = sorted({c for entry in entries for c in entry})  # the coordinates Q reads
         halves = []  # (2 m, S, C) per Levy atom, over all k points
         for u, m in self.triplet.atoms:
             theta = 0.5 * sum(x[:, c] * u[c] for c in range(len(u)))  # theta_i from x_i alone
             halves.append((2.0 * m, np.sin(theta), np.cos(theta)))
 
-        scratch = np.empty(0)  # t and t2 of every tile, made once for the law's first, largest tile
+        scratch = np.empty(0)  # every tile's scratch, made once for the law's first, largest tile
 
         def tile(a, b, sign):
             nonlocal scratch
             op = np.add if sign > 0 else np.subtract
             out = np.zeros((b - a, len(x) - a))
-            if scratch.size < 2 * out.size:
-                scratch = np.empty(2 * out.size)
-            t, t2 = scratch[:2 * out.size].reshape((2,) + out.shape)
-            for i, j in zip(*np.nonzero(q)):
-                np.multiply(op(x[a:b, j, None], x[a:, j], out=t), q[i, j], out=t)
-                t *= op(x[a:b, i, None], x[a:, i], out=t2)
+            count = 1 + max(len(coords), 1)  # t, and a difference per coordinate that Q reads or t2
+            if scratch.size < count * out.size:
+                scratch = np.empty(count * out.size)
+            t, *diffs = scratch[:count * out.size].reshape((count,) + out.shape)
+            d = {c: op(x[a:b, c, None], x[a:, c], out=diff) for c, diff in zip(coords, diffs)}
+            for i, j in entries:
+                np.multiply(d[j], q[i, j], out=t)
+                t *= d[i]
                 out += t
             out *= 0.5
+            t2 = diffs[0]  # the differences are spent
             for m2, s, c in halves:
                 np.multiply(s[a:b, None], c[a:], out=t)
                 np.multiply(c[a:b, None], s[a:], out=t2)
@@ -310,6 +305,26 @@ class EuclideanPower(NdfSpec):
         if self.alpha == 2.0:
             return sq
         return np.power(sq, 0.5 * self.alpha, out=sq)
+
+    def pair_values(self, x):
+        # (x_ic + sign x_jc)**2 added column by column, then one power: the
+        # bits of eval_many on the pair points in dimensions 1 and 2 (in 3
+        # its einsum adds the columns as (0 + 2) + 1).  A column's squares
+        # are a new array in each tile: kept as scratch for the point set,
+        # they raised the large-law benchmark's peak RSS.
+        def tile(a, b, sign):
+            op = np.add if sign > 0 else np.subtract
+            out = op(x[a:b, 0, None], x[a:, 0])
+            out *= out
+            for c in range(1, x.shape[1]):
+                t = op(x[a:b, c, None], x[a:, c])
+                t *= t
+                out += t
+            if self.alpha != 2.0:
+                np.power(out, 0.5 * self.alpha, out=out)
+            return out
+
+        return tile
 
 
 @dataclass(frozen=True)

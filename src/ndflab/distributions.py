@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, EuclideanPower, NdfSpec
+from .core import DimensionMismatch, EuclideanPower
 from .fields import POINTS, VECTOR, Record
 
 __all__ = [
@@ -151,7 +151,7 @@ class RawAbsPower:
             raise ValueError("alpha must be positive")
 
     eval_many = EuclideanPower.eval_many  # the same ||xi||_2**alpha, for any alpha
-    pair_values = NdfSpec.pair_values
+    pair_values = EuclideanPower.pair_values
 
 
 def _check_dims(psi, dist: DiscreteDistribution):

@@ -109,9 +109,9 @@ def decode(kind, value, path: tuple = (), depth: int = 0):
         kinds = kind.get("prefixItems") or [kind["items"]] * len(value)
         if len(value) > len(kinds):
             raise _error(path, f"expected at most {len(kinds)} items, got {len(value)}")
-        if kind.get("items") is NUMBER and all(type(v) in (float, int) and -_FLOAT_MAX <= v <= _FLOAT_MAX
-                                               for v in value):
-            return value  # a plain finite vector, checked in one pass
+        if _finite_vector(kind, value) or (depth + 1 < MAX_DEPTH and isinstance(kind.get("items"), dict)
+                                           and all(_finite_vector(kind["items"], v) for v in value)):
+            return value  # a plain finite vector, or a list of them, checked in one pass
         return [decode(k, v, path + (i,), depth + 1) for i, (k, v) in enumerate(zip(kinds, value))]
     if actual == "string":
         if value != kind.get("const", value):
@@ -129,6 +129,12 @@ def decode(kind, value, path: tuple = (), depth: int = 0):
         if key in kind and not holds(value, kind[key]):
             raise _error(path, f"expected {key} {kind[key]}, got {value!r}")
     return int(value) if actual == "integer" and "integer" in allowed else value
+
+
+def _finite_vector(kind, value) -> bool:
+    """Whether ``value`` is a list of finite numbers, no bools, that the array kind ``kind`` of numbers takes as it is."""
+    return (kind.get("items") is NUMBER and type(value) is list and len(value) >= kind.get("minItems", 0)
+            and all(type(v) in (float, int) and -_FLOAT_MAX <= v <= _FLOAT_MAX for v in value))
 
 
 def _decode_object(kind, obj, actual, path, depth):

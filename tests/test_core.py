@@ -23,7 +23,8 @@ from ndflab import (
     metric_dpsi,
 )
 from ndflab.core import BERNSTEIN, NDF, DimensionMismatch
-from ndflab.fields import canonical_dumps, decode, encode
+from ndflab.distributions import DISTRIBUTION
+from ndflab.fields import POINTS, ConfigError, canonical_dumps, decode, encode
 from randgen import random_bernstein, random_ndf_spec, random_triplet_spec
 
 
@@ -187,6 +188,53 @@ def test_decoded_spec_evaluates_identically():
     np.testing.assert_array_equal(eval_psi_many(psi, pts), eval_psi_many(clone, pts))
 
 
+BEYOND_FLOAT64 = 10**400
+LAW = {"weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("kind,value,message", [
+    (DISTRIBUTION, {**LAW, "atoms": [[0.0], []]}, "atoms/1: expected at least 1 items, got 0"),
+    (DISTRIBUTION, {**LAW, "atoms": [[0.0], [True]]}, "atoms/1/0: expected number, got boolean"),
+    (DISTRIBUTION, {**LAW, "atoms": [[0.0], [-BEYOND_FLOAT64]]},
+     "atoms/1/0: expected a finite number, got an integer beyond float64"),
+    (POINTS, [[1.0], []], "1: expected at least 1 items, got 0"),
+    (POINTS, [[1.0], [False]], "1/0: expected number, got boolean"),
+    (POINTS, [[1.0], [BEYOND_FLOAT64]], "1/0: expected a finite number, got an integer beyond float64"),
+    (POINTS, [[1.0], "1.0"], "1: expected number or array, got string"),
+    (NDF, {"type": "from_triplet", "q": [[1.0, 0.0], 0.0]}, "q/1: expected array, got integer"),
+    (NDF, {"type": "from_triplet", "q": [[1.0, 0.0], []]}, "q/1: expected at least 1 items, got 0"),
+    (NDF, {"type": "from_triplet", "q": [[True]]}, "q/0/0: expected number, got boolean"),
+    (NDF, {"type": "from_triplet", "q": [[float("nan")]]}, "q/0/0: expected a finite number, got nan"),
+    (NDF, {"type": "from_triplet", "q": [[1.0]], "atoms": [{"u": 1.0, "m": 1.0}]},
+     "atoms/0/u: expected array, got integer"),
+])
+def test_lists_of_vectors_that_misfit_keep_their_path_and_message(kind, value, message):
+    # a list of finite vectors is checked in one pass; any misfit takes the
+    # item by item path, which names the field at fault
+    with pytest.raises(ConfigError) as caught:
+        decode(kind, value)
+    assert str(caught.value) == f"config field {message}"
+
+
+@pytest.mark.parametrize("kind,value", [
+    (DISTRIBUTION, {**LAW, "atoms": [[0.0, 1.0], [2.0]]}),
+    (NDF, {"type": "from_triplet", "q": [[1.0, 0.0], [0.0]]}),
+])
+def test_a_ragged_list_of_vectors_is_its_constructors_error(kind, value):
+    with pytest.raises(ConfigError) as caught:
+        decode(kind, value)
+    assert isinstance(caught.value.__cause__, ValueError)
+    assert str(caught.value) == f"config field <root>: {caught.value.__cause__}"
+
+
+def test_lists_of_finite_vectors_decode_as_they_are():
+    points = [[1, -2.5], [0.0, 1e308], [-0.0, 3]]
+    assert decode(POINTS, points) is points
+    assert decode(POINTS, [[1.0], 2.0]) == [[1.0], 2.0]  # a number for a 1-d point takes the item path
+    psi = decode(NDF, {"type": "from_triplet", "q": [[2, 1], [1, 2]], "atoms": [{"u": [1, 0], "m": 1}]})
+    assert psi.triplet.q.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+
 def _quadratic_case(dim, spec_seed, zero_q, n):
     """An atom-free triplet with Q from ``random_triplet_spec`` and n points."""
     rng = np.random.default_rng(spec_seed)
@@ -226,26 +274,51 @@ def _full_loop_quadratic(q, pts):
     return 0.5 * quad
 
 
+def _partly_zero_q_case(dim, spec_seed, n):
+    """An atom-free triplet whose Q has zero rows and columns, and n points with -0.0 and 0.0 coordinates."""
+    rng = np.random.default_rng(spec_seed)
+    a = rng.normal(size=(dim, dim))
+    q = a @ a.T
+    dropped = rng.random(dim) < 0.5  # zero rows and columns keep Q positive semidefinite
+    q[dropped], q[:, dropped] = 0.0, 0.0
+    pts = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    pts[rng.random((n, dim)) < 0.3] = -0.0
+    pts[rng.random((n, dim)) < 0.1] = 0.0
+    return FromTriplet(LevyTriplet(q=q)), pts
+
+
+def _bits(v):
+    return np.asarray(v).view(np.int64)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(dim=st.integers(1, 4), spec_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
        sign=st.sampled_from([1.0, -1.0]))
 def test_skipping_zero_q_entries_keeps_every_bit(dim, spec_seed, n, sign):
     # a zero entry adds +-0 to a sum that starts at +0; -0.0 coordinates make
     # some of those terms -0, and a partly zero Q leaves zero and nonzero entries
-    rng = np.random.default_rng(spec_seed)
-    a = rng.normal(size=(dim, dim))
-    q = a @ a.T
-    dropped = rng.random(dim) < 0.5  # zero rows and columns keep Q positive semidefinite
-    q[dropped], q[:, dropped] = 0.0, 0.0
-    psi = FromTriplet(LevyTriplet(q=q))
-    pts = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
-    pts[rng.random((n, dim)) < 0.3] = -0.0
-    pts[rng.random((n, dim)) < 0.1] = 0.0
-    bits = lambda v: np.asarray(v).view(np.int64)
-    assert np.array_equal(bits(psi.eval_many(pts)), bits(_full_loop_quadratic(psi.triplet.q, pts)))
+    psi, pts = _partly_zero_q_case(dim, spec_seed, n)
+    assert np.array_equal(_bits(psi.eval_many(pts)), _bits(_full_loop_quadratic(psi.triplet.q, pts)))
     pairs = (pts[:, None] + sign * pts[None]).reshape(-1, dim)
     tile = psi.pair_values(pts)(0, n, sign)
-    assert np.array_equal(bits(tile.ravel()), bits(_full_loop_quadratic(psi.triplet.q, pairs)))
+    assert np.array_equal(_bits(tile.ravel()), _bits(_full_loop_quadratic(psi.triplet.q, pairs)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), spec_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       sign=st.sampled_from([1.0, -1.0]), data=st.data())
+def test_quadratic_pair_tiles_are_eval_many_on_the_pair_points(dim, spec_seed, n, sign, data):
+    # a tile forms each coordinate's pair difference once and multiplies
+    # (q_ij d_j) d_i as eval_many does on the pair point, so a Q-only triplet's
+    # tiles, whole or partial, keep its bits, -0.0 terms included
+    psi, pts = _partly_zero_q_case(dim, spec_seed, n)
+    pairs = (pts[:, None] + sign * pts[None]).reshape(-1, dim)
+    whole = psi.eval_many(pairs).reshape(n, n)
+    tile = psi.pair_values(pts)
+    assert np.array_equal(_bits(tile(0, n, sign)), _bits(whole))
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a + 1, n))
+    assert np.array_equal(_bits(tile(a, b, sign)), _bits(whole[a:b, a:]))
 
 
 @pytest.mark.parametrize("module", ["core", "distributions", "kernels", "mc", "bbm"])

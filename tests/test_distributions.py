@@ -551,6 +551,40 @@ def test_triplet_pair_values_agree_with_eval_many_on_the_pair_points(dim, k, sig
     assert np.all(np.abs(psi.pair_values(x)(0, k, sign) - direct) <= 16.0 * np.finfo(float).eps * scale)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.integers(1, 40),
+    sign=st.sampled_from([1.0, -1.0]),
+    half_alpha=st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0),
+    raw=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 6.0),
+)
+def test_euclidean_pair_values_agree_with_eval_many_on_the_pair_points(dim, k, sign, half_alpha, raw, seed,
+                                                                         log_scale):
+    # The tile adds the squared coordinate differences in column order, as
+    # eval_many's einsum does in dimensions 1 and 2, so there the bits agree.
+    # In dimension 3 the einsum adds (0 + 2) + 1: each order is within eps of
+    # the exact sum of three squares, so the sums differ by at most 2 eps
+    # relative, the power x**p (p = alpha / 2 <= 2) scales that by p, and it
+    # rounds by an ulp on each side: 8 eps relative, fixed from this count.
+    psi = RawAbsPower(4.0 * half_alpha, dim) if raw else EuclideanPower(2.0 * half_alpha, dim)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=10.0**log_scale, size=(k, dim))
+    x[rng.random((k, dim)) < 0.1] = -0.0
+    x[rng.random(k) < 0.2] = x[0]  # repeated points: zero differences off the diagonal
+    tile = psi.pair_values(x)(0, k, sign)
+    direct = psi.eval_many((x[:, None] + sign * x[None]).reshape(-1, dim)).reshape(k, k)
+    if dim < 3:
+        assert np.array_equal(tile.view(np.int64), direct.view(np.int64))
+    else:
+        assert np.all(np.abs(tile - direct) <= 8.0 * np.finfo(float).eps * direct)
+    assert np.array_equal(tile.view(np.int64), tile.T.view(np.int64))  # mirrored pairs, bit for bit
+    if sign < 0:
+        assert np.array_equal(np.diag(tile).view(np.int64), np.zeros(k, dtype=np.int64))  # exactly +0
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     dim=st.integers(1, 3),
