@@ -21,7 +21,7 @@ from ndflab import (
     ess_bounds_check,
     exact_gap,
     mc_inequality_verdict,
-    tail_identity_check,
+    tail_integral,
 )
 
 params = CounterexampleParams(alpha=3.0, c=1.0, m=10.0)
@@ -47,7 +47,7 @@ verdict = mc_inequality_verdict(RawAbsPower(3.0), CounterexampleSampler(params),
 print(f"Monte Carlo verdict at N=10^6: {verdict.kind} (z = {verdict.z_score:.1f})\n")
 
 # alpha = 1: the elementary tail-integral identity
-lhs, rhs = tail_identity_check(law)
+lhs, rhs = exact_gap(RawAbsPower(1.0), law), tail_integral(law)
 print(f"alpha = 1 identity: E|X+Y| - E|X-Y| = {lhs:.10f}")
 print(f"  2 int_0^inf [P(X>r) - P(X<-r)]^2 dr = {rhs:.10f}\n")
 

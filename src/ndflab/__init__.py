@@ -38,7 +38,7 @@ from .distributions import (
     ess_bounds_check,
     exact_expectation,
     exact_gap,
-    tail_identity_check,
+    tail_integral,
 )
 from .kernels import GramResult, gram_matrix, psd_check, variance_identity
 from .bbm import (

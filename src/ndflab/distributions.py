@@ -3,16 +3,15 @@
 Every expectation here is a finite sum over atom pairs, so the moment
 inequality E psi(X-Y) <= E psi(X+Y) is checked with no sampling error.
 The sums here and in :mod:`ndflab.kernels` reduce the pair engine's
-tiles as they come, so their memory is one tile's.  A signed sum with m
-plus and m minus signs is ``exact_gap(psi, convolution_power(law, m))``.
+tiles as they come, so their memory is one step's tiles.  A signed sum
+with m plus and m minus signs is the pair check on the m-fold sum,
+``exact_gap(psi, convolution_power(law, m))``.
 The module also hosts the alpha > 2 counterexample family, the tail
 identity for E|X+Y| - E|X-Y| and the essential-bound comparison.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ __all__ = [
     "counterexample_distribution",
     "counterexample_gap_closed_form",
     "counterexample_search",
-    "tail_identity_check",
+    "tail_integral",
     "ess_bounds_check",
     "ENUMERATION_LIMIT",
 ]
@@ -176,37 +175,37 @@ def _pair_tiles(psi, x, *signs):
         yield a, b, *(tile(a, b, sign) for sign in signs)
 
 
-def _tile_form(w, a: int, b: int, tile) -> float:
-    """A tile's share of the symmetric form w' A w: its diagonal block once, the rest twice."""
-    v = w[a:b]
-    form = v @ tile[:, :b - a] @ v
-    if b < w.shape[0]:
-        form += 2.0 * (v @ (tile[:, b - a:] @ w[b:]))
-    return form
+def _forms(w, tiles) -> list[float]:
+    """Per column T of the tiles (a, b, *T), the symmetric form w'Tw, its tiles' shares added in tile order.
+
+    A tile's share is its diagonal block once and the rest twice; a
+    one-tile form is that tile's share itself.
+    """
+    sums = None
+    for a, b, *columns in tiles:
+        v = w[a:b]
+        shares = [v @ t[:, :b - a] @ v for t in columns]
+        if b < w.shape[0]:
+            shares = [s + 2.0 * (v @ (t[:, b - a:] @ w[b:])) for s, t in zip(shares, columns)]
+        sums = shares if sums is None else [s + t for s, t in zip(sums, shares)]
+    return [float(s) for s in sums]
 
 
-def _add_forms(forms) -> float:
-    """The tiles' forms added in tile order; a one-tile sum is that tile's form itself."""
-    return float(functools.reduce(operator.add, forms))
+def exact_expectation(psi, dist: DiscreteDistribution) -> tuple[float, float]:
+    """(E psi(X+Y), E psi(X-Y)), sum_{i,j} p_i p_j psi(x_i +/- x_j), from one walk of the pair tiles.
 
-
-def exact_expectation(psi, dist: DiscreteDistribution, mode: str) -> float:
-    """E psi(X +/- Y) = sum_{i,j} p_i p_j psi(x_i +/- x_j), reduced tile by tile.
-
-    ``psi`` is an NdfSpec or a RawAbsPower probe.  No k x k array is made;
-    on a law of one tile the sum is ``w @ A @ w`` of the pair array A.
+    ``psi`` is an NdfSpec or a RawAbsPower probe.  The + and - tiles come
+    in step and are reduced as they come, so no k x k array is made; on a
+    law of one tile each sum is ``w @ A @ w`` of its pair array A.
     """
     _check_dims(psi, dist)
-    if mode not in ("sum", "difference"):
-        raise ValueError(f"mode must be 'sum' or 'difference', got {mode!r}")
-    w = dist.weights
-    tiles = _pair_tiles(psi, dist.atoms, 1.0 if mode == "sum" else -1.0)
-    return _add_forms(_tile_form(w, a, b, tile) for a, b, tile in tiles)
+    return tuple(_forms(dist.weights, _pair_tiles(psi, dist.atoms, 1.0, -1.0)))
 
 
 def exact_gap(psi, dist: DiscreteDistribution) -> float:
     """E psi(X+Y) - E psi(X-Y); nonnegative whenever psi is cnd."""
-    return exact_expectation(psi, dist, "sum") - exact_expectation(psi, dist, "difference")
+    e_plus, e_minus = exact_expectation(psi, dist)
+    return e_plus - e_minus
 
 
 def _within_budget(law: DiscreteDistribution) -> DiscreteDistribution:
@@ -301,22 +300,15 @@ def counterexample_search(alpha: float, c: float, m_grid) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def tail_identity_check(dist: DiscreteDistribution) -> tuple[float, float]:
-    """(lhs, rhs) of E|X+Y| - E|X-Y| = 2 * int_0^inf [P(X>r) - P(X<-r)]^2 dr.
-
-    The integrand is piecewise constant between consecutive values of
-    {|x_i|}, so the integral is an exact finite sum.
-    """
-    rhs = _tail_integral(dist)
-    return exact_gap(RawAbsPower(1.0), dist), rhs
-
-
-def _tail_integral(dist: DiscreteDistribution) -> float:
+def tail_integral(dist: DiscreteDistribution) -> float:
     """2 * int_0^inf [P(X>r) - P(X<-r)]^2 dr, the right side of the tail identity.
 
-    On (b_{j-1}, b_j) between breaks of {0} u {|x_i|}, X > r (X < -r) exactly
-    for the positive (negative) atoms with |x| >= b_j: a suffix sum of weight
-    after one stable sort by |x|, read at the first atom of each break.
+    The identity is E|X+Y| - E|X-Y| = this integral; its left side is
+    ``exact_gap(RawAbsPower(1.0), dist)``.  On (b_{j-1}, b_j) between breaks
+    of {0} u {|x_i|}, X > r (X < -r) exactly for the positive (negative)
+    atoms with |x| >= b_j: a suffix sum of weight after one stable sort by
+    |x|, read at the first atom of each break, so the integral is an exact
+    finite sum.
     """
     if dist.dim != 1:
         raise DimensionMismatch("tail identity is one-dimensional")

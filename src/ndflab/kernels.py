@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionMismatch, psd_tolerance
-from .distributions import DiscreteDistribution, _add_forms, _check_dims, _pair_tiles, _tile_form
+from .distributions import DiscreteDistribution, _check_dims, _forms, _pair_tiles
 
 __all__ = [
     "GramResult",
@@ -80,19 +80,15 @@ def variance_identity(psi, dist: DiscreteDistribution) -> tuple[float, float, fl
     """(quadratic_form, gap, e_plus, e_minus): w' K w over the law's atoms vs the exact moment gap.
 
     Both are nonnegative for cnd psi.  Each pair-engine step gives tiles of
-    P = psi(x_i + x_j) and M = psi(x_i - x_j): e_plus = w'Pw and e_minus =
-    w'Mw (the bits of :func:`exact_gap`) and the form w'(P - M)w, with P - M
-    formed in place.  The form and the gap are one double sum added in two
-    orders: this checks rounding and the form's sign, not a second route.
+    P = psi(x_i + x_j) and M = psi(x_i - x_j), reduced as in
+    :func:`exact_expectation` to e_plus = w'Pw and e_minus = w'Mw (its
+    bits) and the form w'(P - M)w.  The form and the gap are one double
+    sum added in two orders: this checks rounding and the form's sign, not
+    a second route.
     """
     _check_dims(psi, dist)
-    w = dist.weights
-    forms = []  # per tile: its shares of w'Pw, w'Mw and w'Kw
-    for a, b, plus, minus in _pair_tiles(psi, dist.atoms, 1.0, -1.0):
-        shares = _tile_form(w, a, b, plus), _tile_form(w, a, b, minus)
-        plus -= minus  # this tile of the Gram matrix K, in place
-        forms.append((*shares, _tile_form(w, a, b, plus)))
-    e_plus, e_minus, quad = (_add_forms(column) for column in zip(*forms))
+    tiles = _pair_tiles(psi, dist.atoms, 1.0, -1.0)
+    e_plus, e_minus, quad = _forms(dist.weights, ((a, b, p, m, p - m) for a, b, p, m in tiles))
     return quad, e_plus - e_minus, e_plus, e_minus
 
 

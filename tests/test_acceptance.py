@@ -26,7 +26,7 @@ from ndflab import (
     kernel_kpsi,
     mc_inequality_verdict,
     psd_check,
-    tail_identity_check,
+    tail_integral,
     variance_identity,
 )
 from ndflab.cli import main
@@ -102,7 +102,7 @@ def test_criterion_4_tail_identity():
     ok = True
     for _ in range(1000):
         law = random_distribution(rng, 1)
-        lhs, rhs = tail_identity_check(law)
+        lhs, rhs = exact_gap(RawAbsPower(1.0), law), tail_integral(law)
         ok = ok and abs(lhs - rhs) <= 1e-12 and rhs >= -1e-14
     _verdict(4, "tail-integral identity", ok)
 

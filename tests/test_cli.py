@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ndflab import (CounterexampleParams, DiscreteDistribution, FromTriplet, LevyTriplet, RawAbsPower,
-                    counterexample_distribution, variance_identity)
+from ndflab import (CounterexampleParams, DiscreteDistribution, EuclideanPower, FromTriplet, LevyTriplet,
+                    RawAbsPower, counterexample_distribution, variance_identity)
 from ndflab import bbm as bbm_mod
 from ndflab import cli
 from ndflab import distributions as dist_mod
@@ -111,6 +112,55 @@ TAIL_AT_SCALE = {"distribution": {
     "atoms": [-5174.274, 17650.317, 13063.372, 5174.274, -17650.317, -13063.372],
     "weights": [0.030665887850467293, 0.22721962616822433, 0.24211448598130844,
                 0.030665887850467293, 0.22721962616822433, 0.24211448598130844]}}
+
+
+def _law(k, dim, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, size=k)
+    return {"atoms": rng.normal(size=(k, dim)).tolist(), "weights": (w / w.sum()).tolist()}
+
+
+# a triplet with a quadratic part and two Levy atoms: the half-angle pair engine
+TRIPLET_2D = {"type": "from_triplet", "dim": 2, "a": 0.0, "q": [[0.5, 0.1], [0.1, 0.3]],
+              "atoms": [{"u": [0.7, -0.2], "m": 1.2}, {"u": [-0.3, 1.1], "m": 0.4}]}
+LAW_2D = _law(200, 2, 11)  # 200 atoms: three tiles of pairs
+LAW_1D = _law(300, 1, 12)
+SAMPLED = {"sampler": GAUSS, "n_samples": 1000, "seed": 5}
+
+# SHA-256 of the CSV each config writes; a change that moves a byte of any of them shows here
+PINNED_CSV = {
+    "verify exact": ("verify-inequality", {"psi": PSI_ABS, "distribution": BERNOULLI},
+                     "74436ee1a4d0e5e325782eee7a3fc5fb9dcea05f497fd302a2ef23ff16b0d37e"),
+    "verify exact triplet": ("verify-inequality", {"psi": TRIPLET_2D, "distribution": LAW_2D},
+                             "78180bf89b853f4a9671206b334036d83ced5d57aae34145ff5caa13b058e697"),
+    "verify monte carlo": ("verify-inequality", {"psi": PSI_ABS, **SAMPLED},
+                           "ed512ece72afa4ea9ea60fb1402b9bdeae65f18d31ec5cc7b93d741fa0942bb6"),
+    "kernel": ("check-kernel", {"psi": PSI_ABS, "points": [[1.0], [2.0], [-3.0]]},
+               "47647cb8b79def659dd05231213dd336f87c0af47057a87eda922136e36103ec"),
+    "kernel triplet": ("check-kernel", {"psi": TRIPLET_2D, "points": LAW_2D["atoms"][:150]},
+                       "1b39ec49a55fbbab4cc78433963b857fd0041196b82408849bb23a6f9efbe819"),
+    "variance at scale": ("variance-identity", QUADRATIC_AT_SCALE,
+                          "9159013ecfb980a349eab333c8032272e04e81d7df3de19deef7f51d9eb5f62b"),
+    "variance triplet": ("variance-identity", {"psi": TRIPLET_2D, "distribution": LAW_2D},
+                         "dd6a1029bb0d0336880b5f18956aa14c52f770fbf0b84958c7f19982209d39fe"),
+    "counterexample m": ("counterexample", {"alpha": 3, "c": 1, "m": 10},
+                         "599204eee66a00330f8929e7305ba9f1379046e59cebeb5e919ed5a271b2d12a"),
+    "counterexample grid": ("counterexample", {"alpha": 3.5, "c": 1, "m_grid": [2, 4, 6, 8, 10]},
+                            "131ea2d69cb7b53e6bfc0f5b90277a0a78d7396eb21d0f6b1e2d374a163a4e96"),
+    "tail at scale": ("tail-identity", TAIL_AT_SCALE,
+                      "cf0cb472d43895f36a5cee2db0605d007a39fe9b74f78517cc98a09b7ccebe3c"),
+    "tail": ("tail-identity", {"distribution": LAW_1D},
+             "5e6a64db3564679be6e626af8d610e80f9abe82dad22c4d82a4130c41d92ad72"),
+    "bbm": ("simulate-bbm", {"h": 0.5, "k": 1.0, "grid": [0.5, 1.0, 1.5], "n_paths": 5, "seed": 3},
+            "a0ecb539c0c2d4066e5bfc3905017f8855125379dfb1d3d11cafc60a53a6f46c"),
+    "signed exact": ("signed-sum", {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "distribution": BERNOULLI},
+                     "9926b85bf5a76377e29571bb1b2a67e9ecb41114b341a3ff07c36d80c2e9de98"),
+    "signed exact triplet": ("signed-sum", {"psi": TRIPLET_2D, "pattern": [1, -1, 1, -1],
+                                            "distribution": _law(12, 2, 13)},
+                             "40b185fe908d8cc88759d839a11be221a14980b5e83ec858006c49a304175478"),
+    "signed monte carlo": ("signed-sum", {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], **SAMPLED},
+                           "42bd8722daba0da6cd244396bcb8bf880d619e3c392877400fe899569fde6634"),
+}
 
 # base configs with each command's optional fields, an exact and a Monte Carlo one where both exist
 FIELD_BASES = {
@@ -456,8 +506,8 @@ class TestRun:
         assert report["csv"].splitlines()[0] == "lhs,rhs,abs_error"
 
     def test_tail_identity_still_flags_a_wrong_integral(self, tmp_path, monkeypatch):
-        integral = dist_mod._tail_integral
-        monkeypatch.setattr(dist_mod, "_tail_integral",
+        integral = dist_mod.tail_integral
+        monkeypatch.setattr(dist_mod, "tail_integral",
                             lambda law: integral(law) + 1e-6 * float(law.weights @ np.abs(law.atoms[:, 0])))
         assert main(["tail-identity", "--config", write(tmp_path, "t.json", TAIL_AT_SCALE)]) == 1
 
@@ -812,6 +862,33 @@ class TestMain:
         assert main([command, "--config", cfg, "--out", str(out1)]) == 0
         assert main([command, "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("name", list(PINNED_CSV))
+    def test_csv_bytes_are_pinned(self, tmp_path, name):
+        command, config, digest = PINNED_CSV[name]
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", write(tmp_path, "c.json", config), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command,config,k", [
+        ("verify-inequality", {"psi": PSI_ABS, "distribution": BERNOULLI}, 2),
+        ("signed-sum", {"psi": PSI_ABS, "pattern": [1, 1, -1, -1], "distribution": BERNOULLI}, 3),
+        ("counterexample", {"alpha": 3, "c": 1, "m": 10}, 2),
+        ("tail-identity", {"distribution": BERNOULLI}, 2),
+        ("variance-identity", {"psi": PSI_ABS, "distribution": BERNOULLI}, 2),
+        ("check-kernel", {"psi": PSI_ABS, "points": [[1.0], [2.0], [-3.0]]}, 3),
+    ])
+    def test_each_exact_command_walks_the_pair_engine_once(self, monkeypatch, command, config, k):
+        # one pair_values call on the command's k-atom law gives both signs of every pair
+        calls = []
+        for cls in (EuclideanPower, RawAbsPower):
+            def spy(psi, x, pair_values=cls.pair_values):
+                calls.append(x.shape[0])
+                return pair_values(psi, x)
+
+            monkeypatch.setattr(cls, "pair_values", spy)
+        assert run(command, config)["passed"]
+        assert calls == [k]
 
 
 class TestSchema:

@@ -24,12 +24,12 @@ from ndflab import (
     exact_expectation,
     exact_gap,
     gram_matrix,
-    tail_identity_check,
+    tail_integral,
     variance_identity,
 )
 from ndflab.fields import decode, encode
 from ndflab import distributions
-from ndflab.distributions import DISTRIBUTION, _pair_tiles, _tail_integral
+from ndflab.distributions import DISTRIBUTION, _pair_tiles
 from randgen import random_distribution, random_ndf_spec, random_sign_pattern, random_triplet_spec
 
 ABS1 = EuclideanPower(1.0, 1)
@@ -51,21 +51,15 @@ def two_point_enumeration(alpha, atoms, weights, sign):
 class TestExactExpectation:
     def test_point_mass_difference_is_zero(self):
         p = DiscreteDistribution(np.array([[3.0]]), np.array([1.0]))
-        assert exact_expectation(ABS1, p, "difference") == 0.0
+        assert exact_expectation(ABS1, p)[1] == 0.0
 
     def test_symmetric_two_point(self):
         p = DiscreteDistribution(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-        assert exact_expectation(ABS1, p, "difference") == pytest.approx(1.0)
-        assert exact_expectation(ABS1, p, "sum") == pytest.approx(1.0)
+        assert exact_expectation(ABS1, p) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_bernoulli(self):
         p = bernoulli_half()
-        assert exact_expectation(ABS1, p, "difference") == pytest.approx(0.5)
-        assert exact_expectation(ABS1, p, "sum") == pytest.approx(1.0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            exact_expectation(ABS1, bernoulli_half(), "product")
+        assert exact_expectation(ABS1, p) == (pytest.approx(1.0), pytest.approx(0.5))
 
 
 class TestExactGap:
@@ -234,22 +228,22 @@ class TestTailIdentity:
         law = DiscreteDistribution(np.array(values)[:, None] * scale, w / w.sum())
         size = float(np.max(np.abs(law.atoms)))
         bound = 4 * law.n_atoms * np.finfo(float).eps * size
-        assert abs(_tail_integral(law) - _tail_integral_loop(law)) <= bound
+        assert abs(tail_integral(law) - _tail_integral_loop(law)) <= bound
 
     def test_symmetric(self):
         p = DiscreteDistribution(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-        lhs, rhs = tail_identity_check(p)
+        lhs, rhs = exact_gap(RawAbsPower(1.0), p), tail_integral(p)
         assert lhs == pytest.approx(0.0, abs=1e-14)
         assert rhs == pytest.approx(0.0, abs=1e-14)
 
     def test_point_mass(self):
         p = DiscreteDistribution(np.array([[1.0]]), np.array([1.0]))
-        assert tail_identity_check(p) == (pytest.approx(2.0), pytest.approx(2.0))
+        assert (exact_gap(RawAbsPower(1.0), p), tail_integral(p)) == (pytest.approx(2.0), pytest.approx(2.0))
 
     def test_bernoulli(self):
         for prob in (0.2, 0.5, 0.9):
             p = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([1 - prob, prob]))
-            lhs, rhs = tail_identity_check(p)
+            lhs, rhs = exact_gap(RawAbsPower(1.0), p), tail_integral(p)
             assert lhs == pytest.approx(2 * prob**2, abs=1e-14)
             assert rhs == pytest.approx(2 * prob**2, abs=1e-14)
 
@@ -257,14 +251,14 @@ class TestTailIdentity:
         rng = np.random.default_rng(22)
         for _ in range(1000):
             p = random_distribution(rng, 1)
-            lhs, rhs = tail_identity_check(p)
+            lhs, rhs = exact_gap(RawAbsPower(1.0), p), tail_integral(p)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
             assert rhs >= -1e-14
 
     def test_requires_dim_1(self):
         p = DiscreteDistribution(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            tail_identity_check(p)
+            tail_integral(p)
 
 
 class TestEssBounds:
@@ -495,8 +489,7 @@ def test_one_tile_sums_are_the_whole_array_forms(dim, k, spec_seed, raw_alpha, l
     w, x = law.weights, law.atoms
     plus, minus = _whole(psi, x, 1.0), _whole(psi, x, -1.0)
     e_plus, e_minus = float(w @ plus @ w), float(w @ minus @ w)
-    assert exact_expectation(psi, law, "sum") == e_plus
-    assert exact_expectation(psi, law, "difference") == e_minus
+    assert exact_expectation(psi, law) == (e_plus, e_minus)
     assert variance_identity(psi, law) == (float(w @ (plus - minus) @ w), e_plus - e_minus, e_plus, e_minus)
 
 
@@ -518,7 +511,7 @@ def test_multi_tile_sums_agree_with_the_whole_array_forms(dim, k, spec_seed, raw
     w = law.weights
     with mock.patch.object(distributions, "_PAIR_TILE", 64):
         plus, minus = _assembled(psi, law.atoms, 1.0), _assembled(psi, law.atoms, -1.0)
-        e_plus, e_minus = exact_expectation(psi, law, "sum"), exact_expectation(psi, law, "difference")
+        e_plus, e_minus = exact_expectation(psi, law)
         quad, gap, vi_plus, vi_minus = variance_identity(psi, law)
     kernel = plus - minus
     eps = np.finfo(float).eps
@@ -627,7 +620,7 @@ def test_gap_is_homogeneous(dim, alpha, c, data):
     law, scaled = DiscreteDistribution(atoms, w), DiscreteDistribution(c * atoms, w)
     assume(scaled.n_atoms == law.n_atoms)  # rounding c * x can move a pair across the merge tolerance
     psi = EuclideanPower(alpha, dim)
-    e_plus, e_minus = exact_expectation(psi, scaled, "sum"), exact_expectation(psi, scaled, "difference")
+    e_plus, e_minus = exact_expectation(psi, scaled)
     # rounding c * x and the power costs a few eps per term, on top of the
     # k-term sums; 20000 random cases of this shape stayed below 3.6 * rounding
     rounding = np.finfo(float).eps * scaled.n_atoms * (e_plus + e_minus)
