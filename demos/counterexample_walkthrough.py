@@ -44,7 +44,8 @@ print("  (as alpha -> 2, violations survive only for c near 1, at large M)\n")
 
 # the same violation seen statistically
 verdict = mc_inequality_verdict(RawAbsPower(3.0), CounterexampleSampler(params), 10**6, seed=1)
-print(f"Monte Carlo verdict at N=10^6: {verdict.kind} (z = {verdict.z_score:.1f})\n")
+print(f"Monte Carlo verdict, capped at N=10^6: {verdict.kind} (z = {verdict.z_score:.1f}"
+      f" after {verdict.n_used} draws)\n")
 
 # alpha = 1: the elementary tail-integral identity
 lhs, rhs = exact_gap(RawAbsPower(1.0), law), tail_integral(law)

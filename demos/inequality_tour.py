@@ -61,7 +61,7 @@ print(f"  E|X1+X2+X3+X4| - E|X1+X2-X3-X4| = {exact_gap(abs_power, convolution_po
 gauss = GaussianIso(1, 1.0, [0.0])
 pair = mc_inequality_verdict(abs_power, gauss, 10**6, seed=7)
 est_minus, est_plus = pair.est_minus, pair.est_plus
-print("\nGaussian X, Y ~ N(0,1), psi = |x|, N = 10^6 shared draws:")
+print(f"\nGaussian X, Y ~ N(0,1), psi = |x|, N = {pair.n_used} shared draws:")
 print(f"  E|X-Y| ~ {est_minus.mean:.6f} +- {est_minus.stderr:.6f}")
 print(f"  E|X+Y| ~ {est_plus.mean:.6f} +- {est_plus.stderr:.6f}")
 print(f"  exact value 2/sqrt(pi) = {2 / np.sqrt(np.pi):.6f}")

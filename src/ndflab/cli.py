@@ -88,7 +88,7 @@ def _exact_check(psi, law, tolerance: float, names=("e_minus", "e_plus")):
 
 
 def _mc_check(psi, sampler, n_samples, seed, z_threshold=5.0, names=("e_minus", "e_plus")):
-    """(results, passed) for E psi(X-Y) <= E psi(X+Y) by the paired z-test on shared draws."""
+    """(results, passed) for E psi(X-Y) <= E psi(X+Y) by the sequential paired z-test on shared draws."""
     seed = mc_mod.parse_seed(seed)
     verdict = mc_mod.mc_inequality_verdict(psi, sampler, n_samples, seed, z_threshold)
     estimates = dict(zip(names, (verdict.est_minus, verdict.est_plus)))
@@ -100,6 +100,9 @@ def _mc_check(psi, sampler, n_samples, seed, z_threshold=5.0, names=("e_minus", 
         "z_score": verdict.z_score if np.isfinite(verdict.z_score) else None,
         "verdict": verdict.kind,
         "n_samples": n_samples,
+        "n_used": verdict.n_used,
+        "looks": verdict.looks,
+        "z_bound": verdict.z_bound if np.isfinite(verdict.z_bound) else None,
         "seed": seed,
         "z_threshold": z_threshold,
     }
@@ -125,7 +128,7 @@ def _run_verify_inequality(psi, distribution=None, sampler=None, command=None, *
         law_id, tail = _hash(encode(DISTRIBUTION, distribution)), [0, 0.0, ""]
     else:
         law_id = _hash(encode(SAMPLERS, sampler))
-        tail = [results["n_samples"], float(np.hypot(results["stderr_minus"], results["stderr_plus"])),
+        tail = [results["n_used"], float(np.hypot(results["stderr_minus"], results["stderr_plus"])),
                 results["seed"]]
     csv_text = _single_row_csv(_VERIFY_COLUMNS, [
         _hash(encode(NDF, psi)), law_id, results["e_minus"], results["e_plus"], results["gap"],
@@ -217,7 +220,7 @@ def _run_signed_sum(psi, pattern, command=None, **law):
     if sum(pattern) != 0:
         raise ValueError("signs must sum to zero")
     results, passed = _pair_check(psi, len(pattern) // 2, _SIGNED_NAMES, **law)
-    row = {"n_samples": 0, "seed": "", **results}  # an exact row leaves the Monte Carlo columns blank
+    row = {**results, "n_samples": results.get("n_used", 0), "seed": results.get("seed", "")}
     return results, passed, _single_row_csv(_SIGNED_COLUMNS, [row[c] for c in _SIGNED_COLUMNS])
 
 
@@ -288,7 +291,8 @@ def emit_csv(report: dict, path: str):
 
 # config field -> the flag that overrides it, offered by the commands whose table has the field
 _OVERRIDES = {"seed": ("--seed", {"help": "override the config seed (decimal or 0x-hex)"}),
-              "n_samples": ("--samples", {"type": int, "help": "override the config sample count"})}
+              "n_samples": ("--samples", {"type": int,
+                                          "help": "override the config sample count, a cap on a Monte Carlo run"})}
 
 
 @functools.cache

@@ -12,18 +12,14 @@ carries each side's mean and standard error.  A signed sum with m plus and
 m minus signs is the pair check on the m-fold sum,
 ``mc_inequality_verdict(psi, ConvolutionSampler(spec, m), n, seed)``.
 
-Past the first chunk, one helper thread draws chunk i + 1 (x, y, x - y
-and x + y) while the caller evaluates psi on chunk i.  The generator is
-used by one thread at a time, in the same order, and the caller folds
-the chunks in order, so every estimate keeps every bit of a serial run.
-About two chunks are alive at a time, so memory is O(_CHUNK * dim),
-whatever the sample count; a sampler of m-fold sums adds its draws in
-row blocks of ``_SUM_BLOCK`` draws.  A run of at most ``_CHUNK`` samples
-draws inline and starts no thread, and so does a finite law of k atoms
-with k**2 <= min(n_samples, _CHUNK): psi is evaluated once on its k**2
+The verdict is group-sequential, so n_samples is a cap (see
+:func:`mc_inequality_verdict`).  Chunks are drawn on the caller's thread
+when the fold asks for them.  One chunk is alive at a time, so memory is
+O(_CHUNK * dim), whatever the sample count; a sampler of m-fold sums adds
+its draws in row blocks of ``_SUM_BLOCK`` draws.  A finite law of k atoms
+with k**2 <= min(n_samples, _CHUNK) evaluates psi once on its k**2
 differences and k**2 sums of atoms, and each chunk draws the atom indices
-of x and y and gathers psi from those two tables, which leaves too little
-to overlap with a draw.
+of x and y and gathers psi from those two tables.
 
 A chunk makes as few passes over memory as its arithmetic allows, without
 changing a bit of it: a draw's per-coordinate scale, shift and sum are
@@ -32,10 +28,8 @@ applied in place one column at a time, and deviations are squared in place.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
-import threading
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,13 +229,18 @@ class InequalityVerdict:
     """Outcome of comparing E psi(X-Y) against E psi(X+Y) statistically.
 
     z_score standardises the estimated gap E psi(X-Y) - E psi(X+Y); a
-    violation is declared only when it exceeds the threshold.
+    violation is declared only when it exceeds the threshold.  The run
+    stopped after ``looks`` chunks, ``n_used`` pairs in all; ``z_bound`` is
+    the bound its looks before the last used (inf when none could stop it).
     """
 
     kind: str
     z_score: float
     est_minus: McEstimate
     est_plus: McEstimate
+    n_used: int
+    looks: int
+    z_bound: float
 
 
 def parse_seed(value) -> int:
@@ -320,13 +319,14 @@ def _discrete_sampler(spec: SamplerSpec):
 def _pair_values(psi, spec: SamplerSpec, counts, rng: np.random.Generator):
     """Yield (psi(x - y), psi(x + y)) for each chunk of ``counts``, x drawn before y.
 
-    A finite law of k atoms with k**2 <= counts[0] = min(n_samples, _CHUNK)
-    evaluates psi once on the k**2 points a_i - a_j and once on the k**2
-    points a_i + a_j, formed as the chunks' x - y and x + y are.  Each chunk
-    then draws the atom indices of x and of y, from the stream in the order
-    ``spec.draw`` takes it, and gathers psi from the two tables; it draws
-    inline, on no thread.  Any other law draws its pairs with ``_drawn_ahead``
-    and evaluates psi on each chunk.
+    Each chunk is drawn when it is asked for, on the caller's thread, so a
+    caller that stops early draws no chunk past its last.  A finite law of k
+    atoms with k**2 <= counts[0] = min(n_samples, _CHUNK) evaluates psi once
+    on the k**2 points a_i - a_j and once on the k**2 points a_i + a_j,
+    formed as the chunks' x - y and x + y are.  Each chunk then draws the
+    atom indices of x and of y, from the stream in the order ``spec.draw``
+    takes it, and gathers psi from the two tables.  Any other law draws its
+    pairs and evaluates psi on each chunk.
     """
     sampler = _discrete_sampler(spec)
     if sampler is not None and sampler.distribution.n_atoms ** 2 <= counts[0]:
@@ -339,84 +339,72 @@ def _pair_values(psi, spec: SamplerSpec, counts, rng: np.random.Generator):
             pair += sampler._indices(rng, count)
             yield minus[pair], plus[pair]
         return
-    chunks = _drawn_ahead(functools.partial(_pair_draws, spec, rng), counts)
-    with contextlib.closing(chunks):
-        for difference, total in chunks:
-            yield psi.eval_many(difference), psi.eval_many(total)
+    for count in counts:
+        difference, total = _pair_draws(spec, rng, count)
+        yield psi.eval_many(difference), psi.eval_many(total)
 
 
-def _drawn_ahead(draw, counts):
-    """Yield ``draw(count)`` for each count in turn, drawing the next on a helper thread.
+def _look_bound(z_threshold: float, looks: int) -> float:
+    """The look bound b: 1 - Phi(b) = (1 - Phi(z_threshold)) / looks.
 
-    While the caller works on one result, a single helper thread computes
-    the next, so about two are alive at a time (the caller's previous one
-    goes as it takes the next), and ``draw`` is called in order, one call
-    at a time.  The helper runs in a copy of the caller's context (its
-    ``np.errstate`` included), and an error it raises is raised again here.
-    Closing the generator stops and joins the helper.  A single count is
-    drawn inline, with no thread.
+    b >= z_threshold, and b is inf if that tail underflows.
+
+    Found by bisection on ``math.erfc`` (1 - Phi(x) = erfc(x / sqrt 2) / 2),
+    keeping the end whose tail is at most the target.
     """
-    if len(counts) == 1:
-        yield draw(counts[0])
-        return
-    handoff = []  # the result just drawn, or the error drawing it raised
-    drawn, taken = threading.Semaphore(0), threading.Semaphore(0)
-    stop = threading.Event()
-
-    def helper():
-        for count in counts:
-            try:
-                handoff.append(draw(count))
-            except BaseException as exc:  # raised again in the caller
-                handoff.append(exc)
-            drawn.release()
-            taken.acquire()
-            if stop.is_set():
-                return
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,), daemon=True)
-    thread.start()
-    try:
-        for _ in counts:
-            drawn.acquire()
-            result = handoff.pop()
-            if isinstance(result, BaseException):
-                raise result
-            taken.release()  # the helper draws the next while the caller works on this one
-            yield result
-    finally:
-        stop.set()
-        taken.release()
-        thread.join()
+    target = math.erfc(z_threshold / math.sqrt(2.0)) / looks
+    if target == 0.0:
+        return math.inf
+    lo, hi = z_threshold, 40.0  # a nonzero target has z_threshold < 38.5; erfc(40 / sqrt 2) is 0
+    if math.erfc(lo / math.sqrt(2.0)) <= target:
+        return lo
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if math.erfc(mid / math.sqrt(2.0)) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def mc_inequality_verdict(psi, spec: SamplerSpec, n_samples: int, seed: int,
                           z_threshold: float = 5.0) -> InequalityVerdict:
-    """Statistical verdict on E psi(X-Y) <= E psi(X+Y) from paired samples."""
+    """Statistical verdict on E psi(X-Y) <= E psi(X+Y) from paired samples.
+
+    A group-sequential test over the L = ceil(n_samples / _CHUNK) chunks:
+    from the second chunk on, the running paired z is looked at after each
+    chunk, and the run stops ConsistentHolds at z <= -b or ViolationDetected
+    at z > b, where ``b = _look_bound(z_threshold, L)``.  At the last chunk
+    the fixed-n rule decides: ViolationDetected at z > z_threshold,
+    ConsistentHolds at z <= 0, Inconclusive in between.  n_samples is a cap;
+    the verdict's n_used and looks say where the run stopped.
+    """
     if psi.dim != spec.dim:
         raise DimensionMismatch(f"psi has dimension {psi.dim}, sampler has {spec.dim}")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     counts = [min(_CHUNK, n_samples - start) for start in range(0, n_samples, _CHUNK)]
-    values = _pair_values(psi, spec, counts, _rng(seed))
+    bound = _look_bound(z_threshold, len(counts))
     acc = None
-    with contextlib.closing(values):
-        for minus, plus in values:
-            # the difference gives the paired variance
-            stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
-            acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
-    est_minus, est_plus, diff = (_estimate(s) for s in acc)
-    if diff.stderr == 0.0:
-        z = 0.0 if diff.mean == 0.0 else float(np.sign(diff.mean)) * float("inf")
-    else:
-        z = diff.mean / diff.stderr
+    for looks, (minus, plus) in enumerate(_pair_values(psi, spec, counts, _rng(seed)), 1):
+        # the difference gives the paired variance
+        stats = [_chunk_stats(v) for v in (minus, plus, minus - plus)]
+        acc = stats if acc is None else [_combine(a, s) for a, s in zip(acc, stats)]
+        diff = _estimate(acc[2])
+        if diff.stderr == 0.0:  # 0 or +/-inf by the sign of the mean
+            z = 0.0 if diff.mean == 0.0 else math.copysign(math.inf, diff.mean)
+        else:
+            z = diff.mean / diff.stderr
+        if looks > 1 and math.isfinite(bound) and (z <= -bound or z > bound):
+            break
+    est_minus, est_plus = _estimate(acc[0]), _estimate(acc[1])
     if z > z_threshold:
         kind = VIOLATION
     elif z <= 0.0:
         kind = CONSISTENT
     else:
         kind = INCONCLUSIVE
-    return InequalityVerdict(kind=kind, z_score=float(z), est_minus=est_minus, est_plus=est_plus)
+    return InequalityVerdict(kind=kind, z_score=float(z), est_minus=est_minus, est_plus=est_plus,
+                             n_used=acc[0][0], looks=looks, z_bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,21 @@ class TestRun:
         assert report["results"]["verdict"] in ("ConsistentHolds", "Inconclusive")
         assert report["results"]["seed"] == 42
 
+    @pytest.mark.parametrize("command,extra,column", [("verify-inequality", {}, 6),
+                                                      ("signed-sum", {"pattern": [1, -1, 1, -1]}, 4)])
+    def test_monte_carlo_reports_where_the_run_stopped(self, command, extra, column):
+        n = 10 * mc_mod._CHUNK
+        config = {"psi": PSI_ABS, "sampler": {"type": "uniform_box", "lower": [0.5], "upper": [2.0]},
+                  "n_samples": n, "seed": 7, **extra}
+        report = run(command, config)
+        results = report["results"]
+        assert results["verdict"] == "ConsistentHolds" and 1 < results["looks"] < 10
+        assert results["n_samples"] == n and results["n_used"] == results["looks"] * mc_mod._CHUNK
+        assert results["z_bound"] == mc_mod._look_bound(5.0, 10) and results["z_score"] <= -results["z_bound"]
+        # the CSV's n_samples column holds the pairs used, and a rerun gives the same bytes
+        assert report["csv"].splitlines()[1].split(",")[column] == str(results["n_used"])
+        assert run(command, config)["csv"] == report["csv"]
+
     def test_counterexample_report(self):
         report = run("counterexample", {"alpha": 3, "c": 1, "m": 10})
         assert report["passed"]
@@ -660,8 +675,8 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_overflow_in_a_drawn_ahead_chunk_prints_only_the_error_line(self, tmp_path, capsys):
-        # the helper thread draws every chunk of this run under the caller's np.errstate
+    def test_overflow_in_a_multi_chunk_run_prints_only_the_error_line(self, tmp_path, capsys):
+        # every chunk is drawn and evaluated under the caller's np.errstate
         sampler = {"type": "gaussian_iso", "dim": 1, "sigma": 1e308, "mean": [0.0]}
         cfg = write(tmp_path, "c.json", {"psi": PSI_SQUARE, "sampler": sampler,
                                          "n_samples": 2 * mc_mod._CHUNK + 1, "seed": 1})
@@ -907,13 +922,13 @@ class TestSchema:
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import ndflab.cli; "
                 "print('jsonschema' in sys.modules)")
-        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
     def test_cli_import_leaves_concurrent_futures_out(self):
-        # the Monte Carlo helper thread is a plain threading.Thread
+        # nothing on the command path starts an executor
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import ndflab.cli; "
                 "print('concurrent.futures' in sys.modules)")
-        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import functools
-import sys
+import hashlib
+import math
 import threading
 import tracemalloc
 
@@ -35,9 +36,8 @@ from ndflab.mc import (
     _SUM_BLOCK,
     _chunk_stats,
     _combine,
-    _drawn_ahead,
     _estimate,
-    _pair_draws,
+    _look_bound,
     CONSISTENT,
     ConvolutionSampler,
     INCONCLUSIVE,
@@ -276,6 +276,7 @@ class TestPlumbing:
 
 
 PINNED_N = 200_001
+NO_LOOK = 40.0  # 1 - Phi(40) underflows, so no look stops a run and it folds all n samples
 # (psi, spec, seed, [(mean, stderr) of E psi(X-Y), of E psi(X+Y)]) for PINNED_N samples
 PAIR_CASES = [
     (PSI2, GaussianIso(2, 1.3, [0.4, -0.2]), 2027,
@@ -309,7 +310,7 @@ class TestStreaming:
         # whole-array draws of 10^6 2-d pairs peak near 69 MB
         tracemalloc.start()
         try:
-            mc_inequality_verdict(EuclideanPower(1.0, 2), GaussianIso(2, 1.0, [0.0, 0.0]), 10**6, 3)
+            mc_inequality_verdict(EuclideanPower(1.0, 2), GaussianIso(2, 1.0, [0.0, 0.0]), 10**6, 3, NO_LOOK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,13 +321,14 @@ class TestStreaming:
         # the in-order sum of m consecutive draws (m = n_vars / 2)
         assert 6 * _CHUNK < PINNED_N < 7 * _CHUNK
         for psi, spec, signs, seed, expected in SUM_CASES:
-            verdict = mc_inequality_verdict(psi, ConvolutionSampler(spec, len(signs) // 2), PINNED_N, seed)
+            verdict = mc_inequality_verdict(psi, ConvolutionSampler(spec, len(signs) // 2), PINNED_N, seed,
+                                            NO_LOOK)
             assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == expected
 
     def test_pair_estimates_are_unchanged(self):
         # (mean, stderr) of E psi(X-Y) and E psi(X+Y) over 6 full chunks plus a partial one
         for psi, spec, seed, expected in PAIR_CASES:
-            verdict = mc_inequality_verdict(psi, spec, PINNED_N, seed)
+            verdict = mc_inequality_verdict(psi, spec, PINNED_N, seed, NO_LOOK)
             assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == expected
 
     def test_pinned_estimates_follow_the_per_chunk_order(self):
@@ -381,7 +383,7 @@ class TestStreaming:
         monkeypatch.setattr(threading, "Thread", None)  # starting a thread would raise
         mc_inequality_verdict(ABS1, GaussianIso(1, 1.0, [0.0]), n, 7)
 
-    def test_later_chunks_are_drawn_on_one_helper_thread(self):
+    def test_every_chunk_is_drawn_on_the_callers_thread(self, monkeypatch):
         drawn_on, evaluated_on = [], []
 
         class Recorded(GaussianIso):
@@ -394,11 +396,10 @@ class TestStreaming:
                 evaluated_on.append(threading.get_ident())
                 return super().eval_many(pts)
 
-        before = threading.active_count()
-        mc_inequality_verdict(RecordedPsi(1.0, 1), Recorded(1, 1.0, [0.0]), 3 * _CHUNK + 1, 7)
-        assert len(drawn_on) == 8 and len(set(drawn_on)) == 1 and drawn_on[0] != threading.get_ident()
-        assert evaluated_on == [threading.get_ident()] * 8  # psi runs only on the caller
-        assert threading.active_count() == before
+        monkeypatch.setattr(threading, "Thread", None)  # starting a thread would raise
+        verdict = mc_inequality_verdict(RecordedPsi(1.0, 1), Recorded(1, 1.0, [0.0]), 3 * _CHUNK + 1, 7, NO_LOOK)
+        assert verdict.looks == 4 and verdict.n_used == 3 * _CHUNK + 1
+        assert drawn_on == evaluated_on == [threading.get_ident()] * 8
 
     def test_a_draw_error_is_raised_in_the_caller(self):
         class DrawError(Exception):
@@ -409,55 +410,103 @@ class TestStreaming:
         class FailsOnChunk1(GaussianIso):
             def draw(self, rng, count):
                 drawn_on.append(threading.get_ident())
-                if len(drawn_on) == 3:  # x of chunk 1, on the helper thread
+                if len(drawn_on) == 3:  # x of chunk 1
                     raise DrawError("no more draws")
                 return super().draw(rng, count)
 
-        before = threading.active_count()
-        with pytest.raises(DrawError, match="no more draws") as failure:  # kept: it holds the caller's frame
+        with pytest.raises(DrawError, match="no more draws") as failure:
             mc_inequality_verdict(ABS1, FailsOnChunk1(1, 1.0, [0.0]), 4 * _CHUNK, 8)
-        assert len(drawn_on) == 3 and threading.get_ident() not in drawn_on
-        assert threading.active_count() == before and failure.traceback
+        assert drawn_on == [threading.get_ident()] * 3 and failure.traceback
 
-    def test_an_evaluation_error_mid_stream_stops_the_helper(self):
+    def test_an_evaluation_error_mid_stream_is_raised_in_the_caller(self):
+        drawn = []
+
+        class Recorded(GaussianIso):
+            def draw(self, rng, count):
+                drawn.append(count)
+                return super().draw(rng, count)
+
         class FailsOnChunk1:
             dim = 1
             calls = 0
 
             def eval_many(self, pts):
                 self.calls += 1
-                if self.calls == 3:  # x - y of chunk 1, while the helper draws chunk 2
+                if self.calls == 3:  # x - y of chunk 1
                     raise ArithmeticError("psi failed")
                 return np.abs(pts[:, 0])
 
-        before = threading.active_count()
-        with pytest.raises(ArithmeticError, match="psi failed") as failure:  # kept: it holds the caller's frame
-            mc_inequality_verdict(FailsOnChunk1(), GaussianIso(1, 1.0, [0.0]), 4 * _CHUNK, 9)
-        assert threading.active_count() == before and failure.traceback
-
-    def test_drawn_ahead_chunks_equal_the_serial_stream_under_fast_switching(self):
-        spec, count, n_chunks = ConvolutionSampler(UniformBox([0.0, -1.0], [1.0, 0.5]), 3), 50, 200
-        rng = np.random.Generator(np.random.Philox(key=19))
-        serial = [_pair_draws(spec, rng, count) for _ in range(n_chunks)]
-        drawn = functools.partial(_pair_draws, spec, np.random.Generator(np.random.Philox(key=19)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = []
-            worker = threading.Thread(target=lambda: got.extend(_drawn_ahead(drawn, [count] * n_chunks)))
-            worker.start()
-            worker.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive() and len(got) == n_chunks
-        for chunk, expected in zip(got, serial):
-            for array, want in zip(chunk, expected):
-                np.testing.assert_array_equal(array, want)
+        with pytest.raises(ArithmeticError, match="psi failed") as failure:
+            mc_inequality_verdict(FailsOnChunk1(), Recorded(1, 1.0, [0.0]), 4 * _CHUNK, 9)
+        assert len(drawn) == 4 and failure.traceback  # no chunk past the failing one was drawn
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_an_error(self):
         with pytest.raises(ValueError, match="not finite"):
             mc_inequality_verdict(EuclideanPower(2.0, 1), GaussianIso(1, 1e200, [0.0]), 1000, 4)
+
+
+class TestSequentialVerdict:
+    """A run stops at the first look, from chunk 2 on, whose z passes b; n_samples is a cap."""
+
+    def test_look_bound_is_the_bonferroni_split(self):
+        assert [round(_look_bound(5.0, looks), 2) for looks in (31, 62, 123)] == [5.63, 5.74, 5.86]
+        for z in (0.5, 2.0, 5.0, 20.0):
+            bounds = [_look_bound(z, looks) for looks in (1, 2, 3, 31, 10**6)]
+            assert bounds[0] == z and all(a < b for a, b in zip(bounds, bounds[1:]))
+        for looks in (2, 31, 123):  # 1 - Phi(b) = (1 - Phi(5)) / looks
+            tail = math.erfc(_look_bound(5.0, looks) / math.sqrt(2.0))
+            assert tail == pytest.approx(math.erfc(5.0 / math.sqrt(2.0)) / looks, rel=1e-12)
+        assert _look_bound(NO_LOOK, 2) == math.inf
+
+    def test_false_violations_stay_within_the_bound(self):
+        # Y =d -Y for both laws, so E psi(X-Y) = E psi(X+Y) and every VIOLATION is false
+        z_threshold, looks, runs = 2.0, 4, 60
+        alpha = math.erfc(z_threshold / math.sqrt(2.0)) / 2  # 1 - Phi(2): the fixed-n test's rate
+        bound = (looks - 2) * alpha / looks + alpha  # looks 2 and 3 at alpha / 4 each, the last at alpha
+        allowed = bound + 4 * math.sqrt(bound * (1 - bound) / (2 * runs))  # plus 4 binomial sd
+        kinds = [mc_inequality_verdict(psi, spec, looks * _CHUNK, seed, z_threshold).kind
+                 for psi, spec in ((ABS1, GaussianIso(1, 1.0, [0.0])),
+                                   (EuclideanPower(1.5, 1), UniformBox([-1.0], [1.0])))
+                 for seed in range(runs)]
+        assert kinds.count(VIOLATION) / len(kinds) <= allowed
+
+    def test_a_run_no_look_decides_keeps_the_fixed_n_bits(self):
+        # pinned from the fixed-n engine; z stays near 0 at every look, so all 5 chunks are folded
+        psi, spec, n, seed = EuclideanPower(1.0, 2), GaussianIso(2, 1.5, [0.0, 0.0]), 4 * _CHUNK + 100, 21
+        verdict = mc_inequality_verdict(psi, spec, n, seed)
+        assert (verdict.kind, verdict.n_used, verdict.looks) == (INCONCLUSIVE, n, 5)
+        assert verdict.z_score == 0.06479200099142328
+        assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == [
+            (2.660587822051041, 0.0038468825067115068), (2.660236244892185, 0.003839753382585115)]
+        report = run("verify-inequality", {"psi": encode(NDF, psi), "sampler": encode(SAMPLERS, spec),
+                                           "n_samples": n, "seed": seed})
+        assert hashlib.sha256(report["csv"].encode()).hexdigest() == (
+            "d9fe636d87352771caaa484028583140680f815916733881ed44585ac9002ec7")
+
+    def test_a_decided_run_draws_no_chunk_past_its_last_look(self):
+        drawn = []
+
+        class Counted(UniformBox):
+            def draw(self, rng, count):
+                drawn.append(count)
+                return super().draw(rng, count)
+
+        spec, n = Counted([0.5, -1.0], [2.0, 1.0]), 10 * _CHUNK + 1
+        verdict = mc_inequality_verdict(PSI2, spec, n, 23)
+        assert verdict.kind == CONSISTENT and 1 < verdict.looks < 11
+        assert verdict.z_score <= -verdict.z_bound == -_look_bound(5.0, 11)
+        assert len(drawn) == 2 * verdict.looks and sum(drawn) == 2 * verdict.n_used
+        assert mc_inequality_verdict(PSI2, spec, n, 23) == verdict
+        *expected, _ = _chunked_reference(PSI2, spec, verdict.n_used, 23)
+        assert [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)] == expected
+
+    def test_a_zero_stderr_look_decides_only_at_an_infinite_z(self):
+        n = 3 * _CHUNK
+        for atom, z, looks in ((0.0, 0.0, 3), (1.0, -math.inf, 2)):  # psi(x-y) - psi(x+y) = -psi(2 atom)
+            law = DiscreteDistribution(np.array([[atom]]), np.array([1.0]))
+            verdict = mc_inequality_verdict(ABS1, DiscreteSampler(law), n, 12)
+            assert (verdict.kind, verdict.z_score, verdict.looks) == (CONSISTENT, z, looks)
 
 
 def _chunked_reference(psi, spec, n, seed):
@@ -519,7 +568,7 @@ def test_finite_laws_give_the_estimates_of_the_chunked_draws(dim, spec_seed, n):
     seed = spec_seed % 1000
     verdict = mc_inequality_verdict(psi, spec, n, seed)
     got = [(e.mean, e.stderr) for e in (verdict.est_minus, verdict.est_plus)]
-    *expected, (gap_mean, gap_stderr) = _chunked_reference(psi, spec, n, seed)
+    *expected, (gap_mean, gap_stderr) = _chunked_reference(psi, spec, verdict.n_used, seed)
     if dim == 1 or not _levy_atoms(psi):
         # psi of a point does not depend on its batch: the same bits
         assert got == expected
@@ -541,7 +590,7 @@ class TestFiniteLaws:
     ])
     def test_psi_sees_the_pair_tables_or_every_draw(self, k, n, points):
         psi, seen = _counted(ABS1)
-        mc_inequality_verdict(psi, DiscreteSampler(_law(np.random.default_rng(k), k)), n, 4)
+        mc_inequality_verdict(psi, DiscreteSampler(_law(np.random.default_rng(k), k)), n, 4, NO_LOOK)
         assert sum(seen) == points
 
     def test_a_finite_law_is_drawn_inline_at_any_count(self, monkeypatch):
