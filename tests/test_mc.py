@@ -38,6 +38,8 @@ from ndflab.mc import (
     _combine,
     _estimate,
     _look_bound,
+    _pair_draws,
+    _pair_values,
     CONSISTENT,
     ConvolutionSampler,
     INCONCLUSIVE,
@@ -400,6 +402,27 @@ class TestStreaming:
         verdict = mc_inequality_verdict(RecordedPsi(1.0, 1), Recorded(1, 1.0, [0.0]), 3 * _CHUNK + 1, 7, NO_LOOK)
         assert verdict.looks == 4 and verdict.n_used == 3 * _CHUNK + 1
         assert drawn_on == evaluated_on == [threading.get_ident()] * 8
+
+    def test_the_chunk_stream_equals_the_serial_pair_draws(self):
+        spec, count, n_chunks = ConvolutionSampler(UniformBox([0.0, -1.0], [1.0, 0.5]), 3), 50, 200
+        rng = np.random.Generator(np.random.Philox(key=19))
+        serial = [_pair_draws(spec, rng, count) for _ in range(n_chunks)]
+        seen = []
+
+        class RecordedPsi:
+            dim = 2
+
+            def eval_many(self, pts):
+                seen.append(pts.copy())
+                return pts[:, 0].copy()
+
+        stream = _pair_values(RecordedPsi(), spec, [count] * n_chunks, np.random.Generator(np.random.Philox(key=19)))
+        for chunk, expected in zip(stream, serial):
+            np.testing.assert_array_equal(chunk[0], expected[0][:, 0])
+            np.testing.assert_array_equal(chunk[1], expected[1][:, 0])
+        assert len(seen) == 2 * n_chunks
+        for got, want in zip(seen, [array for pair in serial for array in pair]):
+            np.testing.assert_array_equal(got, want)
 
     def test_a_draw_error_is_raised_in_the_caller(self):
         class DrawError(Exception):
