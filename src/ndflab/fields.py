@@ -167,9 +167,11 @@ def _decode_object(kind, obj, actual, path, depth):
 def encode(kind, value):
     """The JSON object that :func:`decode` turns into ``value``."""
     if isinstance(kind, Family):
-        tag, record = next((tag, r) for tag, r in kind.records.items()
-                           if isinstance(value, r.cls or r.build))
-        return {"type": tag, **encode(record, value)}
+        # by exact class, so a subclass is never encoded under its parent's tag
+        tag = next((tag for tag, r in kind.records.items() if type(value) is (r.cls or r.build)), None)
+        if tag is None:
+            raise TypeError(f"no {kind.name} record builds a {type(value).__name__}")
+        return {"type": tag, **encode(kind.records[tag], value)}
     if isinstance(kind, Record):
         fields = kind.read(value) if kind.read else {name: getattr(value, name) for name in kind.fields}
         return {name: encode(kind.fields[name], v) for name, v in fields.items()}

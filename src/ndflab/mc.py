@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,24 +166,14 @@ class UniformBox(SamplerSpec):
 
 
 @dataclass(frozen=True)
-class CounterexampleSampler(SamplerSpec):
-    """The two-point law of the alpha > 2 counterexample family.
+class CounterexampleSampler(DiscreteSampler):
+    """The DiscreteSampler of the two-point law of the alpha > 2 counterexample with ``params``."""
 
-    It draws through one :class:`DiscreteSampler` of the law, built on first
-    use, so it takes that sampler's stream and its table route in
-    :func:`mc_inequality_verdict`.
-    """
-
+    distribution: DiscreteDistribution = field(init=False, repr=False, compare=False)
     params: CounterexampleParams
 
-    dim = 1
-
-    @functools.cached_property
-    def _discrete(self) -> DiscreteSampler:
-        return DiscreteSampler(counterexample_distribution(self.params))
-
-    def draw(self, rng, count):
-        return self._discrete.draw(rng, count)
+    def __post_init__(self):
+        object.__setattr__(self, "distribution", counterexample_distribution(self.params))
 
 
 @dataclass(frozen=True)
@@ -306,16 +296,6 @@ def _pair_draws(spec: SamplerSpec, rng: np.random.Generator, count: int):
     return difference, x
 
 
-def _discrete_sampler(spec: SamplerSpec):
-    """The DiscreteSampler whose draws ``spec``'s are, or None if it has none.
-
-    A discrete or counterexample sampler has one.
-    """
-    if isinstance(spec, CounterexampleSampler):
-        spec = spec._discrete
-    return spec if isinstance(spec, DiscreteSampler) else None
-
-
 def _pair_values(psi, spec: SamplerSpec, counts, rng: np.random.Generator):
     """Yield (psi(x - y), psi(x + y)) for each chunk of ``counts``, x drawn before y.
 
@@ -328,15 +308,14 @@ def _pair_values(psi, spec: SamplerSpec, counts, rng: np.random.Generator):
     takes it, and gathers psi from the two tables.  Any other law draws its
     pairs and evaluates psi on each chunk.
     """
-    sampler = _discrete_sampler(spec)
-    if sampler is not None and sampler.distribution.n_atoms ** 2 <= counts[0]:
-        atoms = sampler.distribution.atoms
+    if isinstance(spec, DiscreteSampler) and spec.distribution.n_atoms ** 2 <= counts[0]:
+        atoms = spec.distribution.atoms
         k = atoms.shape[0]
         minus, plus = (psi.eval_many(op(atoms[:, None], atoms).reshape(k * k, -1))
                        for op in (np.subtract, np.add))
         for count in counts:
-            pair = sampler._indices(rng, count) * k  # row i of the tables is x = a_i
-            pair += sampler._indices(rng, count)
+            pair = spec._indices(rng, count) * k  # row i of the tables is x = a_i
+            pair += spec._indices(rng, count)
             yield minus[pair], plus[pair]
         return
     for count in counts:

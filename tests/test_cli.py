@@ -135,6 +135,11 @@ PINNED_CSV = {
                              "78180bf89b853f4a9671206b334036d83ced5d57aae34145ff5caa13b058e697"),
     "verify monte carlo": ("verify-inequality", {"psi": PSI_ABS, **SAMPLED},
                            "ed512ece72afa4ea9ea60fb1402b9bdeae65f18d31ec5cc7b93d741fa0942bb6"),
+    # law_id hashes the encoded counterexample sampler
+    "verify monte carlo counterexample": (
+        "verify-inequality", {"psi": PSI_ABS, "sampler": {"type": "counterexample", "alpha": 3.5, "c": 1.5, "m": 10},
+                              "n_samples": 5000, "seed": 5},
+        "b4068136df7a36676b98064543f7161a98effaed768d9209840db889428391a7"),
     "kernel": ("check-kernel", {"psi": PSI_ABS, "points": [[1.0], [2.0], [-3.0]]},
                "47647cb8b79def659dd05231213dd336f87c0af47057a87eda922136e36103ec"),
     "kernel triplet": ("check-kernel", {"psi": TRIPLET_2D, "points": LAW_2D["atoms"][:150]},

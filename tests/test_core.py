@@ -14,6 +14,7 @@ from ndflab import (
     LevyTriplet,
     Log1p,
     Power,
+    RawAbsPower,
     SpecError,
     Subordinated,
     eval_bernstein,
@@ -124,12 +125,15 @@ def test_metric_axioms_battery():
     for _ in range(100):
         dim = int(rng.integers(1, 4))
         psi = random_ndf_spec(rng, dim)
-        for _ in range(100):
-            xi, eta, zeta = rng.normal(scale=2.0, size=(3, dim))
-            assert metric_dpsi(psi, xi, eta) == pytest.approx(metric_dpsi(psi, eta, xi), abs=1e-14)
-            assert metric_dpsi(psi, xi, zeta) <= (
-                metric_dpsi(psi, xi, eta) + metric_dpsi(psi, eta, zeta) + 1e-10
-            )
+        # the 100 triples one rng.normal(size=(3, dim)) call each would draw, in their order
+        xi, eta, zeta = rng.normal(scale=2.0, size=(100, 3, dim)).transpose(1, 0, 2)
+
+        def d(a, b):
+            return np.sqrt(np.maximum(psi.eval_many(a - b), 0.0))
+
+        assert metric_dpsi(psi, xi[0], eta[0]) == pytest.approx(d(xi, eta)[0], rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(d(xi, eta), d(eta, xi), rtol=0.0, atol=1e-14)
+        assert np.all(d(xi, zeta) <= d(xi, eta) + d(eta, zeta) + 1e-10)
 
 
 def test_sqrt_psi_subadditive():
@@ -178,6 +182,18 @@ def test_json_round_trip_byte_identical():
         f = random_bernstein(rng)
         s = canonical_dumps(encode(BERNSTEIN, f))
         assert canonical_dumps(encode(BERNSTEIN, decode(BERNSTEIN, json.loads(s)))) == s
+
+
+def test_encode_refuses_a_class_no_record_builds():
+    with pytest.raises(TypeError, match="no ndf record builds a RawAbsPower"):
+        encode(NDF, RawAbsPower(3.0))
+
+    class Scaled(EuclideanPower):
+        pass
+
+    # a subclass is refused, not encoded under its parent's "euclidean_power" tag
+    with pytest.raises(TypeError, match="no ndf record builds a Scaled"):
+        encode(NDF, Scaled(1.0, 1))
 
 
 def test_decoded_spec_evaluates_identically():

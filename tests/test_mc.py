@@ -22,6 +22,7 @@ from ndflab import (
     Subordinated,
     UniformBox,
     convolution_power,
+    counterexample_distribution,
     exact_expectation,
     exact_gap,
     mc_inequality_verdict,
@@ -615,6 +616,20 @@ class TestFiniteLaws:
         psi, seen = _counted(ABS1)
         mc_inequality_verdict(psi, DiscreteSampler(_law(np.random.default_rng(k), k)), n, 4, NO_LOOK)
         assert sum(seen) == points
+
+    @pytest.mark.parametrize("params", [CounterexampleParams(3.0, 1.0, 10.0),
+                                        CounterexampleParams(3.5, 2.0, 2.0)])  # q = 1: one atom
+    def test_the_counterexample_sampler_is_the_discrete_sampler_of_its_law(self, params):
+        spec, law = CounterexampleSampler(params), counterexample_distribution(params)
+        assert isinstance(spec, DiscreteSampler) and spec.dim == 1
+        np.testing.assert_array_equal(spec.distribution.atoms, law.atoms)
+        np.testing.assert_array_equal(spec.distribution.weights, law.weights)
+        for seed in (0, 7):
+            np.testing.assert_array_equal(sample(spec, seed, 1000), sample(DiscreteSampler(law), seed, 1000))
+        clone = decode(SAMPLERS, encode(SAMPLERS, spec))
+        assert type(clone) is CounterexampleSampler and clone == spec
+        assert encode(SAMPLERS, spec)["type"] == "counterexample"
+        assert encode(SAMPLERS, DiscreteSampler(law))["type"] == "discrete"
 
     def test_a_finite_law_is_drawn_inline_at_any_count(self, monkeypatch):
         monkeypatch.setattr(threading, "Thread", None)  # starting a thread would raise
